@@ -32,7 +32,7 @@ from .errors import (
 from .flux import shell_flux_report
 from .lp import PROFILE_ID, build_filter_bank
 from .snapshots import read_snapshot, write_snapshot
-from .solver import CFL_CONSTANT, SolverParams, simulate
+from .solver import SolverParams, admissible_dt, simulate
 from .spectral import (
     GridSpec,
     dealias,
@@ -47,6 +47,11 @@ from .spectral import (
 from .verify import SUITE_NAMES, run_suite
 
 CSV_FIXED_COLUMNS = "t,E,enstrophy,H1,H32,y,riccati_lhs,riccati_rhs,A,B,C,flux_sum"
+
+CONFIG_KEYS = frozenset((
+    "n", "nu", "dt", "t_end", "ic", "amplitude", "seed", "spectrum", "snapshot", "s",
+    "out", "diag_every", "snapshot_every", "dealias", "nonlinear",
+))
 
 
 def _fmt(x) -> str:
@@ -112,6 +117,9 @@ def load_run_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     raw = parse_config_text(text)
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
     required = ("n", "nu", "dt", "t_end", "ic")
     missing = [key for key in required if key not in raw]
     if missing:
@@ -136,6 +144,9 @@ def load_run_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
+    for key in ("nu", "dt", "t_end"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigurationError(f"{key} must be finite, got {raw[key]}")
     if cfg.ic not in ("taylor_green", "random", "snapshot"):
         raise ConfigurationError(f"unknown initial condition {cfg.ic!r}")
     if cfg.ic == "random" and cfg.spectrum is None:
@@ -162,11 +173,7 @@ def _initial_field(cfg: RunConfig, grid: GridSpec):
 
 
 def _precheck_cfl(u, dt):
-    phys = inverse_transform(u)
-    vmax = math.sqrt(float(np.max(np.sum(phys.values**2, axis=0))))
-    if vmax <= 0.0:
-        return
-    admissible = CFL_CONSTANT * u.grid.dx / vmax
+    admissible = admissible_dt(inverse_transform(u).values, u.grid)
     if dt > admissible:
         raise ConfigurationError(
             f"dt = {dt:g} violates the CFL bound for this initial condition; "

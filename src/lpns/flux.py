@@ -19,7 +19,7 @@ import numpy as np
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError, UndefinedRatioError
 from .lp import FilterBank, shell_energies, truncate_low
-from .spectral import BOX_VOLUME, SpectralVelocity, _lattice
+from .spectral import BOX_VOLUME, SpectralVelocity, _lattice, is_dealiased
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
 #: in full double contractions.
@@ -35,7 +35,7 @@ LOW_PASS_SHIFT = 2
 
 
 def _require_dealiased(u):
-    if not np.all(u.coeffs[:, ~u.grid.dealias_mask()] == 0):
+    if not is_dealiased(u):
         raise ConfigurationError(
             "field carries modes above the dealias cutoff; quadratic products would alias"
         )
@@ -79,11 +79,12 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     n = u.grid.n
     phys = _physical(u.coeffs, n) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
-    uq_phys = _physical(u.coeffs * bank.multiplier(q), n)
+    mult = bank.multiplier(q)
+    uq_phys = _physical(u.coeffs * mult, n)
     cross = np.stack(
         [uq_phys[i] * phys[j] + phys[i] * uq_phys[j] for i, j in SYM_PAIRS]
     )
-    return bank.multiplier(q) * what - _hat(cross, n)
+    return mult * what - _hat(cross, n)
 
 
 def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
@@ -133,8 +134,7 @@ def _transfer_density(u: SpectralVelocity, what=None, phys=None) -> np.ndarray:
 def shell_transfers(u: SpectralVelocity, bank: FilterBank, *, _density=None) -> np.ndarray:
     """Transfer integrals int Tr[(u o u)_q . grad u_q] dx for every shell."""
     _require_dealiased(u)
-    density = _transfer_density(u) if _density is None else _density
-    return BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi_sq, density)
+    return bank.shell_sum(_transfer_density(u) if _density is None else _density)
 
 
 def transfer(u: SpectralVelocity, bank: FilterBank, q: int) -> float:
@@ -144,9 +144,7 @@ def transfer(u: SpectralVelocity, bank: FilterBank, q: int) -> float:
 
 def shell_dissipations(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     """Gradient norms ||grad u_q||_2^2 for every shell."""
-    k2 = u.grid.k_squared()
-    density = k2 * np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    return BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi_sq, density)
+    return bank.shell_sum(u.grid.k_squared() * np.sum(np.abs(u.coeffs) ** 2, axis=0))
 
 
 def _sym_grad_hat(uq_coeffs, n):
@@ -200,7 +198,7 @@ def _shell_l4_norms(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     out = np.empty(bank.n_shells)
     chunk = max(1, int(6.4e7 / (3 * n**3 * 16)))
     for start in range(0, bank.n_shells, chunk):
-        block = bank.phi[start : start + chunk]
+        block = bank.phi[start : start + chunk][:, bank.k2]
         phys = _physical(block[:, None] * u.coeffs[None], n)
         mag2 = np.sum(phys**2, axis=1)
         out[start : start + block.shape[0]] = (
@@ -362,7 +360,7 @@ def total_flux(u: SpectralVelocity, bank: FilterBank, *, _density=None):
     The single-projection pieces telescope through the partition of unity to
     int Tr[(u o u) . grad u] dx, which vanishes for solenoidal fields."""
     density = _transfer_density(u) if _density is None else _density
-    singles = BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi, density)
+    singles = bank.shell_sum(density, squared=False)
     return float(np.sum(singles)), float(np.sum(np.abs(singles)))
 
 

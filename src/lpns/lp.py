@@ -5,11 +5,17 @@ and monotonically in between; the band multipliers are
 phi_q(k) = psi(|k| / 2^(q+1)) - psi(|k| / 2^q) with lam_q = 2^q.  On the
 integer lattice the q >= 0 shells telescope to a partition of unity on every
 retained nonzero mode, and shells with q < 0 vanish identically.
+
+Every multiplier depends on k only through the integer m = |k|^2, so the bank
+stores radial tables indexed by m in [0, 3 (n/2)^2] plus the integer lattice
+of m.  A shell sum sum_k phi_q(k)^p density(k) is one radial histogram of the
+density (np.bincount over the lattice) followed by a table-vector product;
+a full-lattice multiplier is gathered from its table only where a field is
+actually filtered.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -20,6 +26,7 @@ from .spectral import (
     BOX_VOLUME,
     GridSpec,
     SpectralVelocity,
+    _k2_index,
     inverse_transform,
     lp_norm,
 )
@@ -62,14 +69,20 @@ def lam(q) -> float:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Shell multipliers evaluated on a grid's lattice; immutable and shareable."""
+    """Shell multipliers of one grid as radial tables; immutable and shareable.
+
+    Table column m holds the multiplier's value at |k| = sqrt(m), so the
+    full-lattice multiplier of shell q is ``phi[q - q_min][k2]``.  The array
+    fields are the whole bank.
+    """
 
     grid: GridSpec
     q_min: int
     q_max: int
-    phi: np.ndarray      # (n_shells, n, n, n), phi[q - q_min] = phi_q(|k|)
-    phi_sq: np.ndarray
-    psi0: np.ndarray     # psi(|k|) on the lattice
+    phi: np.ndarray      # (n_shells, 3 (n/2)^2 + 1), phi[q - q_min, m] = phi_q(sqrt(m))
+    phi_sq: np.ndarray   # phi**2
+    psi0: np.ndarray     # (3 (n/2)^2 + 1,), psi(sqrt(m))
+    k2: np.ndarray       # (n, n, n) integer |k|^2: the lattice index into every table
     profile_id: str = PROFILE_ID
 
     @property
@@ -84,31 +97,40 @@ class FilterBank:
         return 2.0 ** np.arange(self.q_min, self.q_max + 1, dtype=np.float64)
 
     def multiplier(self, q) -> np.ndarray:
+        """phi_q gathered onto the full (n, n, n) lattice."""
         if not self.q_min <= q <= self.q_max:
             raise ShellRangeError(f"shell {q} outside [{self.q_min}, {self.q_max}]")
-        return self.phi[q - self.q_min]
+        return self.phi[q - self.q_min][self.k2]
+
+    def shell_sum(self, density, *, squared: bool = True) -> np.ndarray:
+        """BOX_VOLUME * sum_k phi_q(k)^p density(k) for every shell, p = 2
+        (or p = 1 with ``squared=False``); density is real on the lattice."""
+        radial = np.bincount(
+            self.k2.ravel(), weights=np.ravel(density), minlength=self.phi.shape[1]
+        )
+        return BOX_VOLUME * ((self.phi_sq if squared else self.phi) @ radial)
 
 
 def build_filter_bank(grid: GridSpec) -> FilterBank:
-    """Evaluate every representable shell multiplier on the grid's lattice."""
+    """Tabulate every representable shell multiplier on the grid's radii."""
     if grid.k_max < 2:
         raise ConfigurationError("grid cannot host shell 0; need k_max >= 2")
     q_max = int(math.ceil(math.log2(grid.k_max))) + 1
-    kmag = grid.k_magnitude()
-    phi = np.stack([phi_profile(kmag, q) for q in range(q_max + 1)])
-    phi.flags.writeable = False
+    radius = np.sqrt(np.arange(3 * (grid.n // 2) ** 2 + 1, dtype=np.float64))
+    phi = np.stack([phi_profile(radius, q) for q in range(q_max + 1)])
     phi_sq = phi * phi
-    phi_sq.flags.writeable = False
-    psi0 = psi_profile(kmag)
-    psi0.flags.writeable = False
-    return FilterBank(grid, 0, q_max, phi, phi_sq, psi0)
+    psi0 = psi_profile(radius)
+    for table in (phi, phi_sq, psi0):
+        table.flags.writeable = False
+    return FilterBank(grid, 0, q_max, phi, phi_sq, psi0, _k2_index(grid.n))
 
 
 def partition_residual(bank: FilterBank) -> float:
     """Max |psi(|k|) + sum_q phi_q(k) - 1| over lattice modes 0 < |k| <= k_max."""
-    kmag = bank.grid.k_magnitude()
+    radius = np.sqrt(np.arange(bank.psi0.size, dtype=np.float64))
+    occupied = np.bincount(bank.k2.ravel(), minlength=bank.psi0.size) > 0
+    sel = occupied & (radius > 0) & (radius <= bank.grid.k_max)
     total = bank.psi0 + np.sum(bank.phi, axis=0)
-    sel = (kmag > 0) & (kmag <= bank.grid.k_max)
     return float(np.max(np.abs(total[sel] - 1.0)))
 
 
@@ -123,16 +145,11 @@ class ShellDecomposition:
 
     grid: GridSpec
     pieces: dict
-    source_checksum: str
-
-
-def _checksum(coeffs) -> str:
-    return hashlib.sha256(np.ascontiguousarray(coeffs).tobytes()).hexdigest()
 
 
 def decompose(u: SpectralVelocity, bank: FilterBank) -> ShellDecomposition:
     pieces = {q: shell_project(u, bank, q) for q in bank.shells}
-    return ShellDecomposition(u.grid, pieces, _checksum(u.coeffs))
+    return ShellDecomposition(u.grid, pieces)
 
 
 def reconstruct(d: ShellDecomposition) -> SpectralVelocity:
@@ -149,7 +166,7 @@ def _low_multiplier(bank: FilterBank, q_top: int) -> np.ndarray:
     upper = min(q_top, bank.q_max) - bank.q_min + 1
     if upper <= 0:
         return np.zeros(bank.grid.shape)
-    return np.sum(bank.phi[:upper], axis=0)
+    return np.sum(bank.phi[:upper], axis=0)[bank.k2]
 
 
 def truncate_low(u: SpectralVelocity, bank: FilterBank, q_top: int) -> SpectralVelocity:
@@ -166,8 +183,7 @@ def truncate_high(u: SpectralVelocity, bank: FilterBank, q_bottom: int) -> Spect
 
 def shell_energies(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     """Squared L2 norms ||u_q||_2^2 for every shell in the bank."""
-    density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    return BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi_sq, density)
+    return bank.shell_sum(np.sum(np.abs(u.coeffs) ** 2, axis=0))
 
 
 def sobolev_norm(u: SpectralVelocity, bank: FilterBank, s: float) -> float:

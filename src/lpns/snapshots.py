@@ -49,7 +49,10 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
 def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
     """Read a snapshot; raises ConfigurationError on bad magic, version or size."""
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read snapshot {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
         raise ConfigurationError(f"{path}: truncated header")
     magic, version, n, time = _HEADER.unpack_from(raw)
@@ -65,7 +68,12 @@ def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
     meta = {}
     side = sidecar_path(path)
     if side.exists():
-        meta = json.loads(side.read_text())
+        try:
+            meta = json.loads(side.read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"{side}: malformed sidecar: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigurationError(f"{side}: sidecar must hold a JSON object")
     fraction = meta.get("grid", {}).get("dealias_fraction", 2.0 / 3.0)
     grid = GridSpec(n, fraction)
     values = (

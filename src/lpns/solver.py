@@ -27,9 +27,10 @@ from .lp import FilterBank, build_filter_bank
 from .spectral import (
     BOX_VOLUME,
     SpectralVelocity,
+    _lattice,
+    _project_coeffs,
     divergence_residual,
     is_dealiased,
-    _lattice,
 )
 
 CFL_CONSTANT = 0.5
@@ -48,12 +49,12 @@ class SolverParams:
     nonlinear_enabled: bool = True
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ConfigurationError(f"viscosity must be positive, got {self.nu}")
-        if self.dt <= 0:
-            raise ConfigurationError(f"time step must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ConfigurationError(f"end time must be >= 0, got {self.t_end}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ConfigurationError(f"viscosity must be finite and positive, got {self.nu}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigurationError(f"time step must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ConfigurationError(f"end time must be finite and >= 0, got {self.t_end}")
         if self.diag_every < 1:
             raise ConfigurationError("diag_every must be a positive step count")
         if self.snapshot_every < 0:
@@ -68,27 +69,25 @@ def _nonlinear_hat(coeffs, grid, phys=None):
     what = _fft.fftn(
         np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS]), axes=(1, 2, 3)
     ) / n**3
-    kx, ky, kz, k2, _ = _lattice(n)
+    kx, ky, kz, _, _ = _lattice(n)
     out = np.empty_like(coeffs)
     out[0] = kx * what[0] + ky * what[1] + kz * what[2]
     out[1] = kx * what[1] + ky * what[3] + kz * what[4]
     out[2] = kx * what[2] + ky * what[4] + kz * what[5]
     out *= -1j
     out *= grid.dealias_mask()
-    inv = np.zeros_like(k2)
-    np.divide(1.0, k2, out=inv, where=k2 > 0)
-    div = (kx * out[0] + ky * out[1] + kz * out[2]) * inv
-    out[0] -= kx * div
-    out[1] -= ky * div
-    out[2] -= kz * div
+    _project_coeffs(out, grid)
     return out
 
 
-def _cfl_check(phys, grid, dt):
+def admissible_dt(phys, grid) -> float:
+    """Largest CFL-admissible step for physical velocity values; inf at rest."""
     vmax = math.sqrt(float(np.max(np.sum(phys**2, axis=0))))
-    if vmax <= 0.0:
-        return
-    admissible = CFL_CONSTANT * grid.dx / vmax
+    return CFL_CONSTANT * grid.dx / vmax if vmax > 0.0 else math.inf
+
+
+def _cfl_check(phys, grid, dt):
+    admissible = admissible_dt(phys, grid)
     if dt > admissible:
         raise StepSizeError(
             f"dt = {dt:g} violates the CFL bound; admissible dt <= {admissible:.9g}",
@@ -146,11 +145,12 @@ class SimulationResult:
 def _sample_row(u, bank, nu) -> TrajectoryRow:
     k2 = u.grid.k_squared()
     e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    energies = BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi_sq, e_density)
-    dissip = BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi_sq, k2 * e_density)
+    d_density = k2 * e_density
+    energies = bank.shell_sum(e_density)
+    dissip = bank.shell_sum(d_density)
     t_density = _transfer_density(u)
-    transfers = BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi_sq, t_density)
-    singles = BOX_VOLUME * np.einsum("qxyz,xyz->q", bank.phi, t_density)
+    transfers = bank.shell_sum(t_density)
+    singles = bank.shell_sum(t_density, squared=False)
     lams = bank.lambdas()
     weights = lams**3  # 2s at the diagnostics exponent s = 3/2
     y = float(np.sum(weights * energies))
@@ -159,7 +159,7 @@ def _sample_row(u, bank, nu) -> TrajectoryRow:
     return TrajectoryRow(
         t=u.time,
         energy=BOX_VOLUME * float(np.sum(e_density)),
-        enstrophy=BOX_VOLUME * float(np.sum(k2 * e_density)),
+        enstrophy=BOX_VOLUME * float(np.sum(d_density)),
         h1=math.sqrt(float(np.sum(lams**2 * energies))),
         h32=math.sqrt(y),
         y=y,

@@ -36,6 +36,15 @@ def _lattice(n):
 
 
 @functools.lru_cache(maxsize=16)
+def _k2_index(n):
+    """Integer |k|^2 on the lattice (int64, read-only)."""
+    kx, ky, kz, _, _ = _lattice(n)
+    k2 = kx * kx + ky * ky + kz * kz
+    k2.flags.writeable = False
+    return k2
+
+
+@functools.lru_cache(maxsize=16)
 def _dealias_mask(n, k_max):
     kx, ky, kz, _, _ = _lattice(n)
     mask = (np.abs(kx) <= k_max) & (np.abs(ky) <= k_max) & (np.abs(kz) <= k_max)
@@ -144,21 +153,22 @@ def inverse_transform(u: SpectralVelocity) -> PhysicalVelocity:
 
 
 def _project_coeffs(coeffs, grid):
+    """Apply I - k k^T / |k|^2 to every mode of coeffs, in place."""
     kx, ky, kz, k2, _ = _lattice(grid.n)
     inv = np.zeros_like(k2)
     np.divide(1.0, k2, out=inv, where=k2 > 0)
     div = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
     div *= inv
-    out = coeffs.copy()
-    out[0] -= kx * div
-    out[1] -= ky * div
-    out[2] -= kz * div
-    return out
+    coeffs[0] -= kx * div
+    coeffs[1] -= ky * div
+    coeffs[2] -= kz * div
 
 
 def leray_project(u: SpectralVelocity) -> SpectralVelocity:
     """Project each mode with I - k k^T / |k|^2, eliminating the pressure gradient."""
-    return SpectralVelocity(u.grid, _project_coeffs(u.coeffs, u.grid), u.time)
+    coeffs = u.coeffs.copy()
+    _project_coeffs(coeffs, u.grid)
+    return SpectralVelocity(u.grid, coeffs, u.time)
 
 
 def dealias(u: SpectralVelocity) -> SpectralVelocity:
@@ -271,14 +281,13 @@ def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((3, *grid.shape))
         nhat = _fft.fftn(noise, axes=(1, 2, 3)) / grid.n**3
-        kx, ky, kz, _, _ = _lattice(grid.n)
-        k2int = kx * kx + ky * ky + kz * kz
+        k2int = _k2_index(grid.n)
         for q in sorted(spectrum):
             target = spectrum[q]
             if target == 0.0:
                 continue
             band = nhat * (k2int == 4**q)
-            band = _project_coeffs(band, grid)
+            _project_coeffs(band, grid)
             have = BOX_VOLUME * float(np.sum(np.abs(band) ** 2))
             if have <= 0.0:
                 raise ConfigurationError(f"degenerate draw left shell {q} empty")

@@ -72,6 +72,19 @@ class TestSimulateCommand:
         adm = float(err.rsplit("<=", 1)[1].strip())
         assert 0.0 < adm < 0.5
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"nu": "nan"}, {"dt": "nan"}, {"t_end": "inf"}, {"diag_evry": 5}],
+        ids=["nu-nan", "dt-nan", "t_end-inf", "unknown-key"],
+    )
+    def test_bad_value_or_key_exits_2(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, **overrides)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(overrides)) in err
+
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
 

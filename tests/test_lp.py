@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,10 @@ from lpns.lp import (
     truncate_high,
     truncate_low,
 )
+from lpns.flux import _transfer_density
 from lpns.spectral import (
+    BOX_VOLUME,
+    GridSpec,
     energy,
     l2_norm,
     make_taylor_green,
@@ -90,6 +94,39 @@ class TestFilterBank:
             bank16.multiplier(5)
         with pytest.raises(ShellRangeError):
             bank16.multiplier(-1)
+
+
+class TestRadialTables:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_gathered_multiplier_is_profile_on_lattice(self, n):
+        bank = build_filter_bank(GridSpec(n))
+        kmag = bank.grid.k_magnitude()
+        for q in bank.shells:
+            assert np.array_equal(bank.multiplier(q), phi_profile(kmag, q))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_shell_sum_matches_lattice_contraction(self, n):
+        bank = build_filter_bank(GridSpec(n))
+        mults = np.stack([bank.multiplier(q) for q in bank.shells])
+        for seed in range(3):
+            u = random_solenoidal_field(bank.grid, seed)
+            energy_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+            signed_density = _transfer_density(u)
+            for squared, weights in ((True, mults**2), (False, mults)):
+                for density in (energy_density, signed_density):
+                    fast = bank.shell_sum(density, squared=squared)
+                    slow = BOX_VOLUME * np.einsum("qxyz,xyz->q", weights, density)
+                    scale = BOX_VOLUME * np.einsum("qxyz,xyz->q", weights, np.abs(density))
+                    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+    def test_tables_stay_small_at_n128(self):
+        bank = build_filter_bank(GridSpec(128))
+        table_bytes = sum(
+            getattr(bank, f.name).nbytes
+            for f in dataclasses.fields(bank)
+            if isinstance(getattr(bank, f.name), np.ndarray) and f.name != "k2"
+        )
+        assert table_bytes < 2 * 2**20
 
 
 class TestShellProject:
@@ -199,7 +236,7 @@ class TestSobolevNorm:
         """For s = 0 the norm is within [c ||u||_2, ||u||_2], c from the bank."""
         kmag = bank32.grid.k_magnitude()
         sel = (kmag > 0) & (kmag <= bank32.grid.k_max)
-        c = math.sqrt(np.min(np.sum(bank32.phi_sq, axis=0)[sel]))
+        c = math.sqrt(np.min(np.sum(bank32.phi_sq, axis=0)[bank32.k2][sel]))
         assert 0 < c <= 1
         for seed in range(5):
             u = random_solenoidal_field(grid32, seed)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from lpns.cli import main
 from lpns.errors import ConfigurationError
 from lpns.snapshots import read_snapshot, sidecar_path, write_snapshot
 from lpns.spectral import inverse_transform, make_taylor_green
@@ -78,6 +79,20 @@ class TestErrors:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ConfigurationError):
             read_snapshot(path)
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+    def test_malformed_sidecar(self, tmp_path, tg_physical, capsys, sidecar):
+        path = tmp_path / "field.lpns"
+        write_snapshot(path, tg_physical)
+        sidecar_path(path).write_text(sidecar)
+        with pytest.raises(ConfigurationError):
+            read_snapshot(path)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            read_snapshot(tmp_path / "absent.lpns")
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "tiny.lpns"

@@ -41,6 +41,9 @@ class TestParams:
             SolverParams(nu=1.0, dt=0.0, t_end=1.0)
         with pytest.raises(ConfigurationError):
             SolverParams(nu=1.0, dt=1e-3, t_end=1.0, diag_every=0)
+        for bad in ({"nu": math.nan}, {"nu": math.inf}, {"dt": math.nan}, {"t_end": math.inf}):
+            with pytest.raises(ConfigurationError):
+                SolverParams(**{"nu": 1.0, "dt": 1e-3, "t_end": 1.0, **bad})
 
 
 class TestStep:
