@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import dataclasses
 import json
 import math
 import os
@@ -49,8 +50,8 @@ from .verify import SUITE_NAMES, run_suite
 CSV_FIXED_COLUMNS = "t,E,enstrophy,H1,H32,y,riccati_lhs,riccati_rhs,A,B,C,flux_sum"
 
 CONFIG_KEYS = frozenset((
-    "n", "nu", "dt", "t_end", "ic", "amplitude", "seed", "spectrum", "snapshot", "s",
-    "out", "diag_every", "snapshot_every", "dealias", "nonlinear",
+    "n", "nu", "dt", "t_end", "ic", "amplitude", "seed", "spectrum", "snapshot", "out",
+    "diag_every", "snapshot_every", "dealias", "nonlinear",
 ))
 
 
@@ -75,6 +76,8 @@ def parse_config_text(text: str) -> dict:
 def _parse_fraction(text: str) -> float:
     if "/" in text:
         num, den = text.split("/", 1)
+        if float(den) == 0.0:
+            raise ConfigurationError(f"dealias = {text} divides by zero")
         return float(num) / float(den)
     return float(text)
 
@@ -103,7 +106,6 @@ class RunConfig:
     seed: int = 0
     spectrum: dict | None = None
     snapshot: str | None = None
-    s_values: tuple = (1.0, 1.5)
     out: str = "."
     diag_every: int = 1
     snapshot_every: int = 0
@@ -114,7 +116,7 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     raw = parse_config_text(text)
     unknown = sorted(set(raw) - CONFIG_KEYS)
@@ -135,7 +137,6 @@ def load_run_config(path) -> RunConfig:
             seed=int(raw.get("seed", "0")),
             spectrum=_parse_spectrum(raw["spectrum"]) if "spectrum" in raw else None,
             snapshot=raw.get("snapshot"),
-            s_values=tuple(float(v) for v in raw.get("s", "1.0,1.5").split(",")),
             out=raw.get("out", "."),
             diag_every=int(raw.get("diag_every", "1")),
             snapshot_every=int(raw.get("snapshot_every", "0")),
@@ -228,9 +229,9 @@ def cmd_simulate(args) -> int:
             "n": cfg.n, "nu": cfg.nu, "dt": cfg.dt, "t_end": cfg.t_end,
             "ic": cfg.ic, "amplitude": cfg.amplitude, "seed": cfg.seed,
             "spectrum": {str(k): v for k, v in (cfg.spectrum or {}).items()},
-            "snapshot": cfg.snapshot, "s": list(cfg.s_values),
-            "diag_every": cfg.diag_every, "snapshot_every": cfg.snapshot_every,
-            "dealias_fraction": cfg.dealias_fraction, "nonlinear": cfg.nonlinear,
+            "snapshot": cfg.snapshot, "diag_every": cfg.diag_every,
+            "snapshot_every": cfg.snapshot_every, "dealias_fraction": cfg.dealias_fraction,
+            "nonlinear": cfg.nonlinear,
         },
         "columns": (CSV_FIXED_COLUMNS + ","
                     + ",".join(f"Eq{q}" for q in bank.shells)).split(","),
@@ -259,18 +260,7 @@ def cmd_analyze(args) -> int:
         "s": args.s,
         "divergence_residual": divergence_residual(u),
         "shell_energies": {f"Eq{q}": report.shell_energies[q - bank.q_min] for q in bank.shells},
-        "rows": [
-            {
-                "q": row.q,
-                "transfer": row.transfer,
-                "dissipation_exact": row.dissipation_exact,
-                "dissipation_surrogate": row.dissipation_surrogate,
-                "remainder_l2": row.remainder_l2,
-                "lemma1_lhs": row.lemma1_lhs,
-                "lemma1_rhs_terms": list(row.lemma1_rhs_terms),
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
         "trisums": {"A": report.trisums.A, "B": report.trisums.B, "C": report.trisums.C},
         "riccati": {"lhs": report.riccati.lhs, "rhs": report.riccati.rhs, "y": report.riccati.y},
         "flux_sum": report.flux_sum,

@@ -7,6 +7,9 @@ sum_{ij} T_ij d_i v_j, and the per-shell transfer is
 int Tr[(u o u)_q . grad u_q] dx, which closes the exact balance
 d/dt ||u_q||_2^2 = -2 nu ||grad u_q||_2^2 + 2 transfer_q
 for the dealiased dynamics.
+
+Trajectory rows and flux reports share one evaluation, :func:`_evaluate`, so
+the Riccati sides, the trisums and the flux sum each have one formula.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ def _require_dealiased(u):
         )
 
 
+def _check_viscosity(nu):
+    if not (math.isfinite(nu) and nu > 0):
+        raise ConfigurationError(f"viscosity must be finite and positive, got {nu}")
+
+
 def _check_shell(bank, q):
     if q < bank.q_min or q > bank.q_max:
         raise ShellRangeError(f"shell {q} outside [{bank.q_min}, {bank.q_max}]")
@@ -61,6 +69,17 @@ def product_tensor_hat(u: SpectralVelocity, phys=None) -> np.ndarray:
         phys = _physical(u.coeffs, n)
     prods = np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS])
     return _hat(prods, n)
+
+
+def _contract_k(what) -> np.ndarray:
+    """k_j T_ij for a symmetric spectral tensor T in upper-triangle storage:
+    the divergence d_j T_ij without its factor i."""
+    kx, ky, kz, _, _ = _lattice(what.shape[-1])
+    out = np.empty((3, *what.shape[1:]), dtype=what.dtype)
+    out[0] = kx * what[0] + ky * what[1] + kz * what[2]
+    out[1] = kx * what[1] + ky * what[3] + kz * what[4]
+    out[2] = kx * what[2] + ky * what[4] + kz * what[5]
+    return out
 
 
 def tensor_shell(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
@@ -117,24 +136,20 @@ def tensor_l2_norm(tensor_hat) -> float:
     return math.sqrt(BOX_VOLUME * float(np.sum(SYM_WEIGHTS * comp)))
 
 
-def _transfer_density(u: SpectralVelocity, what=None, phys=None) -> np.ndarray:
+def _transfer_density(u: SpectralVelocity, what=None) -> np.ndarray:
     """Per-mode density whose phi_q^2-weighted lattice sum (times the box
     volume) is the transfer integral int Tr[(u o u)_q . grad u_q] dx."""
-    n = u.grid.n
-    kx, ky, kz, _, _ = _lattice(n)
     if what is None:
-        what = product_tensor_hat(u, phys)
-    v0 = kx * what[0] + ky * what[1] + kz * what[2]
-    v1 = kx * what[1] + ky * what[3] + kz * what[4]
-    v2 = kx * what[2] + ky * what[4] + kz * what[5]
+        what = product_tensor_hat(u)
+    v = _contract_k(what)
     c = u.coeffs
-    return (v0 * np.conj(c[0]) + v1 * np.conj(c[1]) + v2 * np.conj(c[2])).imag
+    return (v[0] * np.conj(c[0]) + v[1] * np.conj(c[1]) + v[2] * np.conj(c[2])).imag
 
 
-def shell_transfers(u: SpectralVelocity, bank: FilterBank, *, _density=None) -> np.ndarray:
+def shell_transfers(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     """Transfer integrals int Tr[(u o u)_q . grad u_q] dx for every shell."""
     _require_dealiased(u)
-    return bank.shell_sum(_transfer_density(u) if _density is None else _density)
+    return bank.shell_sum(_transfer_density(u))
 
 
 def transfer(u: SpectralVelocity, bank: FilterBank, q: int) -> float:
@@ -232,9 +247,10 @@ def lemma1_sides(u: SpectralVelocity, bank: FilterBank, q: int, *, _table=None, 
     return float(transfers[i]), rhs1, rhs2, rhs3
 
 
-def _check_exponent(s):
+def _check_exponent_and_viscosity(s, nu):
     if not 0.5 < s < 2.5:
         raise ShellRangeError(f"exponent s must lie in (1/2, 5/2), got {s}")
+    _check_viscosity(nu)
 
 
 @dataclass(frozen=True)
@@ -250,9 +266,7 @@ class TriSums:
 
 def abc_sums(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, _table=None) -> TriSums:
     """Evaluate the trisums A, B, C over all representable shells."""
-    _check_exponent(s)
-    if nu <= 0:
-        raise ConfigurationError(f"viscosity must be positive, got {nu}")
+    _check_exponent_and_viscosity(s, nu)
     l2, l4 = _shell_norm_table(u, bank) if _table is None else _table
     lams = bank.lambdas()
     low_cum = np.cumsum(lams**2 * l4**2)
@@ -280,9 +294,7 @@ def _abc_denominator(energies, lams, s, nu):
 def estimate_abc_constants(ensemble, bank: FilterBank, s: float, nu: float):
     """Empirical constants (K_A, K_B, K_C): worst ratio of each trisum to the
     dissipation-plus-square comparison sum over the ensemble."""
-    _check_exponent(s)
-    if nu <= 0:
-        raise ConfigurationError(f"viscosity must be positive, got {nu}")
+    _check_exponent_and_viscosity(s, nu)
     best = [-math.inf, -math.inf, -math.inf]
     usable = 0
     for u in ensemble:
@@ -309,22 +321,34 @@ class RiccatiSides:
     y: float
 
 
-def riccati_sides(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, _density=None) -> RiccatiSides:
-    """Instantaneous d/dt of y = sum_q lam_q^(2s) ||u_q||_2^2 and the
-    comparison sum sum_q (lam_q^(2s) ||u_q||_2^2)^((2s+1)/(2s-1))."""
-    _check_exponent(s)
-    if nu <= 0:
-        raise ConfigurationError(f"viscosity must be positive, got {nu}")
-    _require_dealiased(u)
-    lams = bank.lambdas()
+def _riccati(s, nu, lams, energies, dissipations, transfers) -> RiccatiSides:
     weights = lams ** (2.0 * s)
-    energies = shell_energies(u, bank)
-    transfers = shell_transfers(u, bank, _density=_density)
-    dissipations = shell_dissipations(u, bank)
     lhs = float(np.sum(weights * (-2.0 * nu * dissipations + 2.0 * transfers)))
     y = float(np.sum(weights * energies))
     rhs = float(np.sum((weights * energies) ** _riccati_exponent(s)))
     return RiccatiSides(s, lhs, rhs, y)
+
+
+def riccati_sides(u: SpectralVelocity, bank: FilterBank, s: float, nu: float) -> RiccatiSides:
+    """Instantaneous d/dt of y = sum_q lam_q^(2s) ||u_q||_2^2 and the
+    comparison sum sum_q (lam_q^(2s) ||u_q||_2^2)^((2s+1)/(2s-1))."""
+    _check_exponent_and_viscosity(s, nu)
+    _require_dealiased(u)
+    return _riccati(s, nu, bank.lambdas(), shell_energies(u, bank),
+                    shell_dissipations(u, bank), shell_transfers(u, bank))
+
+
+def _flux_sums(singles):
+    return float(np.sum(singles)), float(np.sum(np.abs(singles)))
+
+
+def total_flux(u: SpectralVelocity, bank: FilterBank):
+    """Telescoped total transfer sum_q int Tr[(u o u) . grad u_q] dx and the
+    absolute scale sum_q |...| of its per-shell terms.
+
+    The single-projection pieces telescope through the partition of unity to
+    int Tr[(u o u) . grad u] dx, which vanishes for solenoidal fields."""
+    return _flux_sums(bank.shell_sum(_transfer_density(u), squared=False))
 
 
 @dataclass(frozen=True)
@@ -351,40 +375,34 @@ class FluxReport:
     flux_sum: float
     flux_abs_scale: float
     flux_residual: float
+    energy: float      # int |u|^2 dx
+    enstrophy: float   # int |grad u|^2 dx
 
 
-def total_flux(u: SpectralVelocity, bank: FilterBank, *, _density=None):
-    """Telescoped total transfer sum_q int Tr[(u o u) . grad u_q] dx and the
-    absolute scale sum_q |...| of its per-shell terms.
-
-    The single-projection pieces telescope through the partition of unity to
-    int Tr[(u o u) . grad u] dx, which vanishes for solenoidal fields."""
-    density = _transfer_density(u) if _density is None else _density
-    singles = bank.shell_sum(density, squared=False)
-    return float(np.sum(singles)), float(np.sum(np.abs(singles)))
-
-
-def shell_flux_report(u: SpectralVelocity, bank: FilterBank, s: float, nu: float) -> FluxReport:
-    """Aggregate per-shell rows, trisums, and Riccati sides for one field."""
-    _check_exponent(s)
-    if nu <= 0:
-        raise ConfigurationError(f"viscosity must be positive, got {nu}")
-    _require_dealiased(u)
-    n = u.grid.n
-    phys = _physical(u.coeffs, n)
+def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, rows=False) -> FluxReport:
+    """Shell diagnostics of one field, each shell sum and the L2/L4 table once; per-shell
+    rows only with ``rows``.  The caller checks s, nu and that u is dealiased."""
+    l4 = _shell_l4_norms(u, bank)  # first: its transforms' peak memory meets no other array
+    phys = _physical(u.coeffs, u.grid.n)
     what = product_tensor_hat(u, phys)
-    density = _transfer_density(u, what=what)
-    energies = shell_energies(u, bank)
-    transfers = shell_transfers(u, bank, _density=density)
-    dissipations = shell_dissipations(u, bank)
-    table = _shell_norm_table(u, bank)
+    e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+    d_density = u.grid.k_squared() * e_density
+    t_density = _transfer_density(u, what)
+    energies = bank.shell_sum(e_density)
+    dissipations = bank.shell_sum(d_density)
+    transfers = bank.shell_sum(t_density)
+    flux_sum, flux_scale = _flux_sums(bank.shell_sum(t_density, squared=False))
+    energy = BOX_VOLUME * float(np.sum(e_density))
+    enstrophy = BOX_VOLUME * float(np.sum(d_density))
+    del e_density, d_density, t_density  # not held through the rows below
+    table = (np.sqrt(energies), l4)
     lams = bank.lambdas()
-    rows = []
-    for q in bank.shells:
+    shell_rows = []
+    for q in bank.shells if rows else ():
         i = q - bank.q_min
         r_hat = remainder(u, bank, q, _phys=phys, _what=what)
         sides = lemma1_sides(u, bank, q, _table=table, _transfers=transfers)
-        rows.append(
+        shell_rows.append(
             ShellFluxRow(
                 q=q,
                 transfer=float(transfers[i]),
@@ -395,16 +413,21 @@ def shell_flux_report(u: SpectralVelocity, bank: FilterBank, s: float, nu: float
                 lemma1_rhs_terms=sides[1:],
             )
         )
-    trisums = abc_sums(u, bank, s, nu, _table=table)
-    riccati = riccati_sides(u, bank, s, nu, _density=density)
-    flux_sum, flux_scale = total_flux(u, bank, _density=density)
-    residual = abs(flux_sum) / max(flux_scale, EPS_FLOOR)
     return FluxReport(
-        rows=tuple(rows),
-        trisums=trisums,
-        riccati=riccati,
+        rows=tuple(shell_rows),
+        trisums=abc_sums(u, bank, s, nu, _table=table),
+        riccati=_riccati(s, nu, lams, energies, dissipations, transfers),
         shell_energies=tuple(float(e) for e in energies),
         flux_sum=flux_sum,
         flux_abs_scale=flux_scale,
-        flux_residual=residual,
+        flux_residual=abs(flux_sum) / max(flux_scale, EPS_FLOOR),
+        energy=energy,
+        enstrophy=enstrophy,
     )
+
+
+def shell_flux_report(u: SpectralVelocity, bank: FilterBank, s: float, nu: float) -> FluxReport:
+    """Per-shell rows, trisums, Riccati sides and the flux sum for one field."""
+    _check_exponent_and_viscosity(s, nu)
+    _require_dealiased(u)
+    return _evaluate(u, bank, s, nu, rows=True)

@@ -47,7 +47,7 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
 
 
 def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
-    """Read a snapshot; raises ConfigurationError on bad magic, version or size."""
+    """Read a snapshot; raises ConfigurationError on a bad header, size or sidecar."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -74,7 +74,11 @@ def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
             raise ConfigurationError(f"{side}: malformed sidecar: {exc}") from exc
         if not isinstance(meta, dict):
             raise ConfigurationError(f"{side}: sidecar must hold a JSON object")
-    fraction = meta.get("grid", {}).get("dealias_fraction", 2.0 / 3.0)
+    try:
+        fraction = float(meta.get("grid", {}).get("dealias_fraction", 2.0 / 3.0))
+        float(meta.get("nu", 1.0))
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{side}: malformed sidecar value: {exc}") from exc
     grid = GridSpec(n, fraction)
     values = (
         np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)

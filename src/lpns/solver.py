@@ -4,7 +4,8 @@ The viscous term is integrated exactly through the factor exp(-nu |k|^2 dt);
 the quadratic term is evaluated pseudo-spectrally in divergence form
 -P grad.(u o u) with 2/3-rule dealiasing and Leray projection, so the shell
 tensors produced by the flux diagnostics are exactly the objects the solver
-advances.
+advances.  Each trajectory row is ``flux._evaluate``, the one evaluation behind
+flux reports too, at exponent DIAG_EXPONENT.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from .errors import (
     ShellRangeError,
     StepSizeError,
 )
-from .flux import SYM_PAIRS, _physical, _shell_l4_norms, _transfer_density, abc_sums
+from .flux import SYM_PAIRS, _check_viscosity, _contract_k, _evaluate, _physical
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
-    BOX_VOLUME,
     SpectralVelocity,
-    _lattice,
     _project_coeffs,
     divergence_residual,
     is_dealiased,
@@ -49,8 +48,7 @@ class SolverParams:
     nonlinear_enabled: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ConfigurationError(f"viscosity must be finite and positive, got {self.nu}")
+        _check_viscosity(self.nu)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"time step must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
@@ -69,11 +67,7 @@ def _nonlinear_hat(coeffs, grid, phys=None):
     what = _fft.fftn(
         np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS]), axes=(1, 2, 3)
     ) / n**3
-    kx, ky, kz, _, _ = _lattice(n)
-    out = np.empty_like(coeffs)
-    out[0] = kx * what[0] + ky * what[1] + kz * what[2]
-    out[1] = kx * what[1] + ky * what[3] + kz * what[4]
-    out[2] = kx * what[2] + ky * what[4] + kz * what[5]
+    out = _contract_k(what)
     out *= -1j
     out *= grid.dealias_mask()
     _project_coeffs(out, grid)
@@ -143,33 +137,21 @@ class SimulationResult:
 
 
 def _sample_row(u, bank, nu) -> TrajectoryRow:
-    k2 = u.grid.k_squared()
-    e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    d_density = k2 * e_density
-    energies = bank.shell_sum(e_density)
-    dissip = bank.shell_sum(d_density)
-    t_density = _transfer_density(u)
-    transfers = bank.shell_sum(t_density)
-    singles = bank.shell_sum(t_density, squared=False)
-    lams = bank.lambdas()
-    weights = lams**3  # 2s at the diagnostics exponent s = 3/2
-    y = float(np.sum(weights * energies))
-    tri = abc_sums(u, bank, DIAG_EXPONENT, nu,
-                   _table=(np.sqrt(energies), _shell_l4_norms(u, bank)))
+    ev = _evaluate(u, bank, DIAG_EXPONENT, nu)
     return TrajectoryRow(
         t=u.time,
-        energy=BOX_VOLUME * float(np.sum(e_density)),
-        enstrophy=BOX_VOLUME * float(np.sum(d_density)),
-        h1=math.sqrt(float(np.sum(lams**2 * energies))),
-        h32=math.sqrt(y),
-        y=y,
-        riccati_lhs=float(np.sum(weights * (-2.0 * nu * dissip + 2.0 * transfers))),
-        riccati_rhs=float(np.sum((weights * energies) ** 2)),
-        A=tri.A,
-        B=tri.B,
-        C=tri.C,
-        flux_sum=float(np.sum(singles)),
-        shell_energies=tuple(float(e) for e in energies),
+        energy=ev.energy,
+        enstrophy=ev.enstrophy,
+        h1=math.sqrt(float(np.sum(bank.lambdas() ** 2 * np.array(ev.shell_energies)))),
+        h32=math.sqrt(ev.riccati.y),
+        y=ev.riccati.y,
+        riccati_lhs=ev.riccati.lhs,
+        riccati_rhs=ev.riccati.rhs,
+        A=ev.trisums.A,
+        B=ev.trisums.B,
+        C=ev.trisums.C,
+        flux_sum=ev.flux_sum,
+        shell_energies=ev.shell_energies,
     )
 
 

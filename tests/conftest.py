@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lpns.lp import build_filter_bank
 from lpns.spectral import GridSpec, SpectralVelocity, dealias, leray_project
 from lpns.verify import random_solenoidal_field
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure found once is found on every run.
+settings.register_profile("lpns", derandomize=True, deadline=None, database=None)
+settings.load_profile("lpns")
 
 
 @pytest.fixture(scope="session")

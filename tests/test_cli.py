@@ -74,8 +74,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"nu": "nan"}, {"dt": "nan"}, {"t_end": "inf"}, {"diag_evry": 5}],
-        ids=["nu-nan", "dt-nan", "t_end-inf", "unknown-key"],
+        [{"nu": "nan"}, {"dt": "nan"}, {"t_end": "inf"}, {"diag_evry": 5}, {"dealias": "0/0"},
+         {"s": 7}],
+        ids=["nu-nan", "dt-nan", "t_end-inf", "unknown-key", "dealias-zero-division",
+             "removed-s-key"],
     )
     def test_bad_value_or_key_exits_2(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "run.cfg"
@@ -84,6 +86,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(overrides)) in err
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 16\nnu = \xff\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -121,6 +129,20 @@ class TestAnalyzeCommand:
         populated = [q for q, e in sorted(report["shell_energies"].items()) if e > 1e-20]
         assert populated == ["Eq0", "Eq1"]
         assert report["riccati"]["y"] > 0
+
+    @pytest.mark.parametrize(
+        "sidecar_nu,args",
+        [(math.nan, []), (math.inf, []), (0.1, ["--nu", "nan"]), (0.1, ["--nu", "inf"]),
+         (0.1, ["--nu", "0"])],
+        ids=["sidecar-nan", "sidecar-inf", "flag-nan", "flag-inf", "flag-zero"],
+    )
+    def test_bad_viscosity_exits_2(self, tmp_path, grid16, capsys, sidecar_nu, args):
+        path = tmp_path / "tg.lpns"
+        write_snapshot(path, inverse_transform(make_taylor_green(grid16, 1.0)), {"nu": sidecar_nu})
+        assert main(["analyze", str(path), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: viscosity") and captured.err.count("\n") == 1
 
     def test_truncated_file_exits_2(self, tmp_path, grid16):
         path = tmp_path / "tg.lpns"

@@ -1,0 +1,99 @@
+"""Property tests: generated configs and sidecars either run or fail cleanly.
+
+A bad input must surface as a ConfigurationError (exit 2 with one
+``error:`` line), never as a traceback.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lpns.cli import CONFIG_KEYS, load_run_config, main
+from lpns.errors import ConfigurationError
+from lpns.snapshots import sidecar_path, write_snapshot
+from lpns.spectral import inverse_transform
+
+from conftest import random_solenoidal_field
+
+BASE_CONFIG = {"n": "16", "nu": "0.1", "dt": "1e-3", "t_end": "0.01", "ic": "random",
+               "spectrum": "0:0.1,1:0.05"}
+
+#: Any code points, lone surrogates included: written with "surrogatepass",
+#: a surrogate becomes bytes that are not valid UTF-8.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+#: Number texts on the edges of the parsers, and fractions of them.
+NUMBERS = st.sampled_from(["0", "1", "-1", "16", "1e-3", "1e400", "nan", "inf", "x", ""])
+FRACTIONS = st.builds("{}/{}".format, NUMBERS, NUMBERS)
+CONFIG_VALUES = st.one_of(
+    NUMBERS,
+    FRACTIONS,
+    st.sampled_from(["random", "taylor_green", "snapshot", "0:0.1,1:0.2", "a:b", "1:", "off"]),
+    TEXT,
+)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config with a fraction for its dealias key half the time, up
+    to one key dropped, up to three keys set or added, and up to two lines
+    of arbitrary text, in any order."""
+    entries = dict(BASE_CONFIG)
+    if draw(st.booleans()):
+        entries["dealias"] = draw(FRACTIONS)
+    for key in draw(st.sets(st.sampled_from(sorted(BASE_CONFIG)), max_size=1)):
+        del entries[key]
+    keys = st.sampled_from(sorted(CONFIG_KEYS | {"s"})) | TEXT
+    entries.update(draw(st.dictionaries(keys, CONFIG_VALUES, max_size=3)))
+    lines = [f"{key} = {value}" for key, value in entries.items()]
+    lines += draw(st.lists(TEXT, max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cfg") / "run.cfg"
+
+
+@given(text=config_texts())
+def test_config_loads_or_raises_configuration_error(config_path, text):
+    config_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        load_run_config(config_path)
+    except ConfigurationError:
+        pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+SIDECARS = st.fixed_dictionaries({}, optional={
+    "nu": st.floats(min_value=0.0) | JSON_VALUES,
+    "grid": st.fixed_dictionaries(
+        {}, optional={"dealias_fraction": st.floats(0.0, 1.5) | JSON_VALUES, "n": JSON_VALUES}
+    ) | JSON_VALUES,
+    "time": JSON_VALUES,
+})
+
+
+@pytest.fixture(scope="module")
+def snapshot16(tmp_path_factory, grid16):
+    path = tmp_path_factory.mktemp("snap") / "field.lpns"
+    write_snapshot(path, inverse_transform(random_solenoidal_field(grid16, 4)))
+    return path
+
+
+@given(sidecar=SIDECARS, extra=st.dictionaries(TEXT, JSON_VALUES, max_size=2))
+def test_analyze_runs_or_exits_2_on_any_sidecar(snapshot16, sidecar, extra):
+    sidecar_path(snapshot16).write_text(json.dumps({**extra, **sidecar}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["analyze", str(snapshot16)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

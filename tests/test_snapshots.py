@@ -80,7 +80,11 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             read_snapshot(path)
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["{not json", "[1, 2]", '{"nu": "abc"}', '{"nu": null}', '{"grid": 5}',
+         '{"grid": {"dealias_fraction": "x"}}', '{"grid": {"dealias_fraction": null}}'],
+    )
     def test_malformed_sidecar(self, tmp_path, tg_physical, capsys, sidecar):
         path = tmp_path / "field.lpns"
         write_snapshot(path, tg_physical)

@@ -10,8 +10,12 @@ from lpns.errors import (
     ShellRangeError,
     StepSizeError,
 )
+from lpns.flux import shell_flux_report
+from lpns.lp import FilterBank
 from lpns.solver import (
+    DIAG_EXPONENT,
     SolverParams,
+    _sample_row,
     energy_balance_residual,
     simulate,
     step,
@@ -24,7 +28,7 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import single_mode_field
+from conftest import random_solenoidal_field, single_mode_field
 
 
 def single_mode_shear(grid, amplitude=1.0):
@@ -207,3 +211,36 @@ class TestEnergyBalance:
         res = simulate(zero_velocity(grid16), params, bank16)
         with pytest.raises(ShellRangeError):
             energy_balance_residual(res)
+
+
+class TestDiagnosticsRow:
+    """Trajectory rows and flux reports come from one shell evaluation."""
+
+    def test_row_equals_report_bit_for_bit(self, grid32, bank32):
+        u = random_solenoidal_field(grid32, 11)
+        nu = 0.1
+        row = _sample_row(u, bank32, nu)
+        report = shell_flux_report(u, bank32, DIAG_EXPONENT, nu)
+        assert DIAG_EXPONENT == 1.5
+        assert row.y == report.riccati.y
+        assert row.riccati_lhs == report.riccati.lhs
+        assert row.riccati_rhs == report.riccati.rhs
+        assert (row.A, row.B, row.C) == (report.trisums.A, report.trisums.B, report.trisums.C)
+        assert row.flux_sum == report.flux_sum
+        assert row.shell_energies == report.shell_energies
+
+    def test_four_shell_sums_per_row_and_per_report(self, grid16, bank16, monkeypatch):
+        calls = []
+        original = FilterBank.shell_sum
+
+        def counting(self, density, **kwargs):
+            calls.append(kwargs.get("squared", True))
+            return original(self, density, **kwargs)
+
+        monkeypatch.setattr(FilterBank, "shell_sum", counting)
+        u = random_solenoidal_field(grid16, 2)
+        _sample_row(u, bank16, 0.1)
+        assert calls == [True, True, True, False]
+        calls.clear()
+        shell_flux_report(u, bank16, 1.5, 0.1)
+        assert calls == [True, True, True, False]
