@@ -194,7 +194,13 @@ def _write_csv(path, rows):
 
 
 def _dump_json(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Write obj as JSON to path or stdout; refuses a non-finite number before writing."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigurationError(
+            "output holds a non-finite number, which JSON cannot represent; an input is out of range"
+        ) from exc
     if path is None:
         sys.stdout.write(text)
     else:
@@ -252,7 +258,9 @@ def cmd_analyze(args) -> int:
     nu = args.nu if args.nu is not None else float(meta.get("nu", 1.0))
     u = zero_mean(dealias(forward_transform(phys)))
     bank = build_filter_bank(u.grid)
-    report = shell_flux_report(u, bank, args.s, nu)
+    # An overflow leaves a non-finite number in the payload, which _dump_json refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = shell_flux_report(u, bank, args.s, nu)
     payload = {
         "n": u.grid.n,
         "time": phys.time,

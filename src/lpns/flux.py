@@ -22,7 +22,7 @@ import numpy as np
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError, UndefinedRatioError
 from .lp import FilterBank, shell_energies, truncate_low
-from .spectral import BOX_VOLUME, SpectralVelocity, _lattice, is_dealiased
+from .spectral import BOX_VOLUME, SpectralVelocity, _hat, _lattice, _physical, is_dealiased
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
 #: in full double contractions.
@@ -54,27 +54,20 @@ def _check_shell(bank, q):
         raise ShellRangeError(f"shell {q} outside [{bank.q_min}, {bank.q_max}]")
 
 
-def _physical(coeffs, n):
-    return _fft.ifftn(coeffs, axes=(-3, -2, -1)).real * n**3
-
-
-def _hat(values, n):
-    return _fft.fftn(values, axes=(-3, -2, -1)) / n**3
+def _products(phys) -> np.ndarray:
+    """The pointwise products u_i u_j of grid values, upper-triangle components."""
+    return np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS])
 
 
 def product_tensor_hat(u: SpectralVelocity, phys=None) -> np.ndarray:
     """Coefficients of the pointwise tensor u_i u_j, upper-triangle components."""
-    n = u.grid.n
-    if phys is None:
-        phys = _physical(u.coeffs, n)
-    prods = np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS])
-    return _hat(prods, n)
+    return _hat(_products(_physical(u.coeffs) if phys is None else phys))
 
 
 def _contract_k(what) -> np.ndarray:
     """k_j T_ij for a symmetric spectral tensor T in upper-triangle storage:
     the divergence d_j T_ij without its factor i."""
-    kx, ky, kz, _, _ = _lattice(what.shape[-1])
+    kx, ky, kz, _ = _lattice(what.shape[-1])
     out = np.empty((3, *what.shape[1:]), dtype=what.dtype)
     out[0] = kx * what[0] + ky * what[1] + kz * what[2]
     out[1] = kx * what[1] + ky * what[3] + kz * what[4]
@@ -95,15 +88,14 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
         raise ShellRangeError("remainder defined for shells q >= 0")
     _check_shell(bank, q)
     _require_dealiased(u)
-    n = u.grid.n
-    phys = _physical(u.coeffs, n) if _phys is None else _phys
+    phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
     mult = bank.multiplier(q)
-    uq_phys = _physical(u.coeffs * mult, n)
+    uq_phys = _physical(u.coeffs * mult)
     cross = np.stack(
         [uq_phys[i] * phys[j] + phys[i] * uq_phys[j] for i, j in SYM_PAIRS]
     )
-    return mult * what - _hat(cross, n)
+    return mult * what - _hat(cross)
 
 
 def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
@@ -117,7 +109,7 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
         raise ShellRangeError("remainder defined for shells q >= 0")
     _check_shell(bank, q)
     n = u.grid.n
-    phys = _physical(u.coeffs, n)
+    phys = _physical(u.coeffs)
     kernel = _fft.ifftn(bank.multiplier(q)).real
     out = np.zeros((6, n, n, n))
     for a in range(n):
@@ -127,7 +119,7 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
                 diff = np.roll(phys, (a, b, c), axis=(1, 2, 3)) - phys
                 for m, (i, j) in enumerate(SYM_PAIRS):
                     out[m] += w * (diff[i] * diff[j])
-    return _hat(out, n)
+    return _hat(out)
 
 
 def tensor_l2_norm(tensor_hat) -> float:
@@ -163,7 +155,7 @@ def shell_dissipations(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
 
 
 def _sym_grad_hat(uq_coeffs, n):
-    kx, ky, kz, _, _ = _lattice(n)
+    kx, ky, kz, _ = _lattice(n)
     k = (kx, ky, kz)
     return np.stack(
         [0.5j * (k[i] * uq_coeffs[j] + k[j] * uq_coeffs[i]) for i, j in SYM_PAIRS]
@@ -188,20 +180,19 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     if q < 0:
         raise ShellRangeError("split defined for shells q >= 0")
     n = u.grid.n
-    phys = _physical(u.coeffs, n)
+    phys = _physical(u.coeffs)
     what = product_tensor_hat(u, phys)
     uq_coeffs = u.coeffs * bank.multiplier(q)
     r_hat = remainder(u, bank, q, _phys=phys, _what=what)
     integral_r = _tensor_pairing(r_hat, _sym_grad_hat(uq_coeffs, n))
 
-    kx, ky, kz, _, _ = _lattice(n)
-    k = (kx, ky, kz)
+    k = _lattice(n)[:3]
     low = truncate_low(u, bank, q + low_shift)
-    uq_phys = _physical(uq_coeffs, n)
+    uq_phys = _physical(uq_coeffs)
     acc = 0.0
     for i in range(3):
         for j in range(3):
-            grad_ij = _physical(1j * k[i] * low.coeffs[j], n)
+            grad_ij = _physical(1j * k[i] * low.coeffs[j])
             acc += float(np.sum(uq_phys[i] * grad_ij * uq_phys[j]))
     integral_low = -acc * u.grid.dx**3
     return integral_r, integral_low
@@ -214,7 +205,7 @@ def _shell_l4_norms(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     chunk = max(1, int(6.4e7 / (3 * n**3 * 16)))
     for start in range(0, bank.n_shells, chunk):
         block = bank.phi[start : start + chunk][:, bank.k2]
-        phys = _physical(block[:, None] * u.coeffs[None], n)
+        phys = _physical(block[:, None] * u.coeffs[None])
         mag2 = np.sum(phys**2, axis=1)
         out[start : start + block.shape[0]] = (
             np.sum(mag2**2, axis=(1, 2, 3)) * u.grid.dx**3
@@ -383,7 +374,7 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     """Shell diagnostics of one field, each shell sum and the L2/L4 table once; per-shell
     rows only with ``rows``.  The caller checks s, nu and that u is dealiased."""
     l4 = _shell_l4_norms(u, bank)  # first: its transforms' peak memory meets no other array
-    phys = _physical(u.coeffs, u.grid.n)
+    phys = _physical(u.coeffs)
     what = product_tensor_hat(u, phys)
     e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     d_density = u.grid.k_squared() * e_density

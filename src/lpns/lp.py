@@ -26,7 +26,6 @@ from .spectral import (
     BOX_VOLUME,
     GridSpec,
     SpectralVelocity,
-    _k2_index,
     inverse_transform,
     lp_norm,
 )
@@ -122,7 +121,7 @@ def build_filter_bank(grid: GridSpec) -> FilterBank:
     psi0 = psi_profile(radius)
     for table in (phi, phi_sq, psi0):
         table.flags.writeable = False
-    return FilterBank(grid, 0, q_max, phi, phi_sq, psi0, _k2_index(grid.n))
+    return FilterBank(grid, 0, q_max, phi, phi_sq, psi0, grid.k_squared())
 
 
 def partition_residual(bank: FilterBank) -> float:

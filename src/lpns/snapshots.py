@@ -9,6 +9,7 @@ viscosity, seed, and generator provenance.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -32,6 +33,8 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
     path = Path(path)
     if field.values.shape != (3, *field.grid.shape):
         raise ConfigurationError("field shape does not match its grid")
+    if not math.isfinite(field.time):
+        raise ConfigurationError(f"snapshot time must be finite, got {field.time}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.time))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
@@ -47,7 +50,8 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
 
 
 def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
-    """Read a snapshot; raises ConfigurationError on a bad header, size or sidecar."""
+    """Read a snapshot; raises ConfigurationError on a bad header, size or sidecar,
+    or on a non-finite time or value."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -60,6 +64,8 @@ def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
         raise ConfigurationError(f"{path}: bad magic {magic!r}; not an LPNS snapshot")
     if version != VERSION:
         raise ConfigurationError(f"{path}: unsupported snapshot version {version}")
+    if not math.isfinite(time):
+        raise ConfigurationError(f"{path}: non-finite time {time} in header")
     expected = _HEADER.size + 3 * n**3 * 8
     if len(raw) != expected:
         raise ConfigurationError(
@@ -85,4 +91,6 @@ def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
         .reshape(3, n, n, n)
         .astype(np.float64)
     )
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{path}: payload holds non-finite values")
     return PhysicalVelocity(grid, values, time), meta

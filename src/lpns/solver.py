@@ -23,10 +23,11 @@ from .errors import (
     ShellRangeError,
     StepSizeError,
 )
-from .flux import SYM_PAIRS, _check_viscosity, _contract_k, _evaluate, _physical
+from .flux import _check_viscosity, _contract_k, _evaluate, _products
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
+    _physical,
     _project_coeffs,
     divergence_residual,
     is_dealiased,
@@ -61,12 +62,9 @@ class SolverParams:
 
 def _nonlinear_hat(coeffs, grid, phys=None):
     """-P D grad.(u o u) evaluated spectrally; D is the dealias projection."""
-    n = grid.n
     if phys is None:
-        phys = _physical(coeffs, n)
-    what = _fft.fftn(
-        np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS]), axes=(1, 2, 3)
-    ) / n**3
+        phys = _physical(coeffs)
+    what = _fft.fftn(_products(phys), axes=(1, 2, 3)) / grid.n**3
     out = _contract_k(what)
     out *= -1j
     out *= grid.dealias_mask()
@@ -93,7 +91,7 @@ def step(u: SpectralVelocity, params: SolverParams) -> SpectralVelocity:
     """Advance one time step with the integrating-factor RK4 scheme."""
     grid = u.grid
     dt = params.dt
-    phys = _physical(u.coeffs, grid.n)
+    phys = _physical(u.coeffs)
     _cfl_check(phys, grid, dt)
     k2 = grid.k_squared()
     e_full = np.exp(-params.nu * k2 * dt)

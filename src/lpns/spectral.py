@@ -5,6 +5,16 @@ wavenumbers are the integers k in [-n/2, n/2)^3, reconstruction reads
 u(x) = sum_k u_hat(k) exp(i k.x), and Parseval is
 int |u|^2 dx = (2*pi)^3 * sum_k |u_hat(k)|^2.  All norms are unnormalized
 integrals over the full box.
+
+This module owns the discrete form of that convention.  ``_hat`` and
+``_physical`` are the one transform pair (fftn / n^3 and ifftn * n^3 over the
+last three axes); every transform of the package except the time step's
+forward transform and the O(n^6) oracle's kernel goes through them.  The
+lattice is stored once per n (``_lattice``): the integer wavenumber axes
+shaped (n, 1, 1), (1, n, 1) and (1, 1, n), which broadcast against the grid,
+and one read-only int64 |k|^2 on the full grid, which is also the filter
+bank's index into its radial tables.  ``_solenoidal_noise`` is the one random
+draw behind both random-field generators.
 """
 
 from __future__ import annotations
@@ -26,27 +36,18 @@ _HERMITIAN_RTOL = 1e-10
 
 @functools.lru_cache(maxsize=16)
 def _lattice(n):
+    """Read-only (kx, ky, kz, |k|^2); every |k|^2 is below 2^53, so it converts to float exactly."""
     freq = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-    kx, ky, kz = np.meshgrid(freq, freq, freq, indexing="ij")
-    k2 = (kx * kx + ky * ky + kz * kz).astype(np.float64)
-    kmag = np.sqrt(k2)
-    for a in (kx, ky, kz, k2, kmag):
-        a.flags.writeable = False
-    return kx, ky, kz, k2, kmag
-
-
-@functools.lru_cache(maxsize=16)
-def _k2_index(n):
-    """Integer |k|^2 on the lattice (int64, read-only)."""
-    kx, ky, kz, _, _ = _lattice(n)
+    freq.flags.writeable = False
+    kx, ky, kz = freq.reshape(n, 1, 1), freq.reshape(1, n, 1), freq.reshape(1, 1, n)
     k2 = kx * kx + ky * ky + kz * kz
     k2.flags.writeable = False
-    return k2
+    return kx, ky, kz, k2
 
 
 @functools.lru_cache(maxsize=16)
 def _dealias_mask(n, k_max):
-    kx, ky, kz, _, _ = _lattice(n)
+    kx, ky, kz, _ = _lattice(n)
     mask = (np.abs(kx) <= k_max) & (np.abs(ky) <= k_max) & (np.abs(kz) <= k_max)
     mask.flags.writeable = False
     return mask
@@ -81,14 +82,16 @@ class GridSpec:
         return (self.n, self.n, self.n)
 
     def wavevectors(self):
-        """Integer wavevector components (kx, ky, kz), each shaped (n, n, n)."""
+        """Integer wavevector components (kx, ky, kz), shaped (n, 1, 1), (1, n, 1)
+        and (1, 1, n) so that they broadcast against (n, n, n) arrays."""
         return _lattice(self.n)[:3]
 
     def k_squared(self):
+        """Integer |k|^2 on the full (n, n, n) grid (int64, read-only)."""
         return _lattice(self.n)[3]
 
     def k_magnitude(self):
-        return _lattice(self.n)[4]
+        return np.sqrt(self.k_squared())
 
     def dealias_mask(self):
         """Boolean mask of modes with max-norm |k_i| <= k_max."""
@@ -123,14 +126,23 @@ def zero_velocity(grid: GridSpec) -> SpectralVelocity:
     return SpectralVelocity(grid, np.zeros((3, *grid.shape), dtype=np.complex128))
 
 
+def _hat(values):
+    """Fourier coefficients over the last three axes: fftn / n^3."""
+    return _fft.fftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
+
+
+def _physical(coeffs):
+    """Real grid values over the last three axes: the real part of ifftn * n^3."""
+    return _fft.ifftn(coeffs, axes=(-3, -2, -1)).real * coeffs.shape[-1] ** 3
+
+
 def forward_transform(f: PhysicalVelocity) -> SpectralVelocity:
     """Analyze a physical field into Fourier coefficients."""
     if f.values.shape != (3, *f.grid.shape):
         raise ConfigurationError(
             f"field shape {f.values.shape} does not match grid {(3, *f.grid.shape)}"
         )
-    coeffs = _fft.fftn(f.values, axes=(1, 2, 3)) / f.grid.n**3
-    return SpectralVelocity(f.grid, coeffs, f.time)
+    return SpectralVelocity(f.grid, _hat(f.values), f.time)
 
 
 def hermitian_residual(u: SpectralVelocity) -> float:
@@ -148,14 +160,13 @@ def inverse_transform(u: SpectralVelocity) -> PhysicalVelocity:
     scale = float(np.max(np.abs(u.coeffs))) if u.coeffs.size else 0.0
     if scale > 0.0 and hermitian_residual(u) > _HERMITIAN_RTOL * scale:
         raise InvariantViolation("coefficients break Hermitian symmetry; field is not real")
-    values = _fft.ifftn(u.coeffs, axes=(1, 2, 3)).real * u.grid.n**3
-    return PhysicalVelocity(u.grid, values, u.time)
+    return PhysicalVelocity(u.grid, _physical(u.coeffs), u.time)
 
 
 def _project_coeffs(coeffs, grid):
     """Apply I - k k^T / |k|^2 to every mode of coeffs, in place."""
-    kx, ky, kz, k2, _ = _lattice(grid.n)
-    inv = np.zeros_like(k2)
+    kx, ky, kz, k2 = _lattice(grid.n)
+    inv = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
     np.divide(1.0, k2, out=inv, where=k2 > 0)
     div = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
     div *= inv
@@ -225,16 +236,16 @@ def divergence_residual(u: SpectralVelocity) -> float:
     Modes below 1e-13 of the peak coefficient magnitude carry no field content
     and are excluded, so transform round-off junk does not dominate the ratio.
     """
-    kx, ky, kz, _, kmag = _lattice(u.grid.n)
+    kx, ky, kz, k2 = _lattice(u.grid.n)
     vecmag = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=0))
     scale = float(np.max(vecmag))
     if scale == 0.0:
         return 0.0
-    good = (kmag > 0) & (vecmag > 1e-13 * scale)
+    good = (k2 > 0) & (vecmag > 1e-13 * scale)
     if not np.any(good):
         return 0.0
     num = np.abs(kx * u.coeffs[0] + ky * u.coeffs[1] + kz * u.coeffs[2])
-    return float(np.max(num[good] / (kmag[good] * vecmag[good])))
+    return float(np.max(num[good] / (np.sqrt(k2[good]) * vecmag[good])))
 
 
 def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:
@@ -253,6 +264,25 @@ def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:
                 idx = (s1 % n, s2 % n, s3 % n)
                 coeffs[(0, *idx)] = -0.125j * s1 * amplitude
                 coeffs[(1, *idx)] = 0.125j * s2 * amplitude
+    return SpectralVelocity(grid, coeffs)
+
+
+def _solenoidal_noise(grid: GridSpec, seed: int) -> np.ndarray:
+    """Coefficients of seeded standard-normal noise on the grid, Leray-projected.
+
+    Projection acts mode by mode, so masking the result to a set of modes
+    equals projecting the masked noise."""
+    noise = np.random.default_rng(seed).standard_normal((3, *grid.shape))
+    coeffs = _hat(noise)
+    _project_coeffs(coeffs, grid)
+    return coeffs
+
+
+def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> SpectralVelocity:
+    """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
+    coeffs = _solenoidal_noise(grid, seed) * grid.dealias_mask()
+    coeffs[:, 0, 0, 0] = 0.0
+    coeffs *= l2 / math.sqrt(BOX_VOLUME * float(np.sum(np.abs(coeffs) ** 2)))
     return SpectralVelocity(grid, coeffs)
 
 
@@ -278,16 +308,13 @@ def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
             raise ConfigurationError(f"shell {q} energy must be finite and >= 0")
     coeffs = np.zeros((3, *grid.shape), dtype=np.complex128)
     if spectrum:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal((3, *grid.shape))
-        nhat = _fft.fftn(noise, axes=(1, 2, 3)) / grid.n**3
-        k2int = _k2_index(grid.n)
+        noise = _solenoidal_noise(grid, seed)
+        k2 = grid.k_squared()
         for q in sorted(spectrum):
             target = spectrum[q]
             if target == 0.0:
                 continue
-            band = nhat * (k2int == 4**q)
-            _project_coeffs(band, grid)
+            band = noise * (k2 == 4**q)
             have = BOX_VOLUME * float(np.sum(np.abs(band) ** 2))
             if have <= 0.0:
                 raise ConfigurationError(f"degenerate draw left shell {q} empty")

@@ -26,16 +26,7 @@ from .flux import (
 )
 from .lp import bernstein_ratio, build_filter_bank, partition_residual, shell_project
 from .solver import SolverParams, simulate
-from .spectral import (
-    BOX_VOLUME,
-    GridSpec,
-    PhysicalVelocity,
-    SpectralVelocity,
-    dealias,
-    forward_transform,
-    leray_project,
-    make_taylor_green,
-)
+from .spectral import GridSpec, SpectralVelocity, make_taylor_green, random_solenoidal_field
 
 SUITE_NAMES = ("partition", "tensor", "nlt", "lemma1", "bernstein", "riccati")
 
@@ -50,16 +41,6 @@ class CheckResult:
 
 def _finite_check(name, value):
     return CheckResult(name, value, math.inf, math.isfinite(value))
-
-
-def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> SpectralVelocity:
-    """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((3, *grid.shape))
-    u = dealias(leray_project(forward_transform(PhysicalVelocity(grid, noise))))
-    u.coeffs[:, 0, 0, 0] = 0.0
-    u.coeffs *= l2 / math.sqrt(BOX_VOLUME * float(np.sum(np.abs(u.coeffs) ** 2)))
-    return u
 
 
 def partition_suite(n: int) -> list:

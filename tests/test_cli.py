@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: viscosity") and captured.err.count("\n") == 1
+
+    def test_overflowing_report_exits_2(self, tmp_path, grid16, capsys):
+        """A finite viscosity whose report overflows is refused, not printed as Infinity."""
+        path = tmp_path / "tg.lpns"
+        write_snapshot(path, inverse_transform(make_taylor_green(grid16, 1.0)), {"nu": 0.1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path), "--nu", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_truncated_file_exits_2(self, tmp_path, grid16):
         path = tmp_path / "tg.lpns"

@@ -44,17 +44,17 @@ from conftest import random_solenoidal_field, single_mode_field
 def quadrature_transfer(u, bank, q):
     """Independent physical-space evaluation of int Tr[(u o u)_q . grad u_q] dx."""
     n = u.grid.n
-    kx, ky, kz, _, _ = _lattice(n)
+    kx, ky, kz, _ = _lattice(n)
     k = (kx, ky, kz)
     what = product_tensor_hat(u)
     tq = bank.multiplier(q) * what
     uq = u.coeffs * bank.multiplier(q)
     acc = 0.0
     for m, (i, j) in enumerate(SYM_PAIRS):
-        t_phys = _physical(tq[m], n)
-        acc += np.sum(t_phys * _physical(1j * k[i] * uq[j], n))
+        t_phys = _physical(tq[m])
+        acc += np.sum(t_phys * _physical(1j * k[i] * uq[j]))
         if i != j:
-            acc += np.sum(t_phys * _physical(1j * k[j] * uq[i], n))
+            acc += np.sum(t_phys * _physical(1j * k[j] * uq[i]))
     return float(acc) * u.grid.dx**3
 
 
@@ -106,9 +106,8 @@ class TestRemainder:
         shifted = SpectralVelocity(u.grid, np.roll(_roll_hat(u, shift), 0))
         r_base = remainder(u, bank16, 1)
         r_shift = remainder(shifted, bank16, 1)
-        n = grid16.n
-        base_phys = _physical(r_base, n)
-        shift_phys = _physical(r_shift, n)
+        base_phys = _physical(r_base)
+        shift_phys = _physical(r_shift)
         rolled = np.roll(base_phys, shift, axis=(1, 2, 3))
         assert np.max(np.abs(shift_phys - rolled)) < 1e-12 * np.max(np.abs(base_phys))
 
@@ -131,7 +130,7 @@ class TestRemainder:
 
 def _roll_hat(u, shift):
     """Coefficients of x -> u(x - a) for a lattice shift a."""
-    kx, ky, kz, _, _ = _lattice(u.grid.n)
+    kx, ky, kz, _ = _lattice(u.grid.n)
     dx = u.grid.dx
     phase = np.exp(-1j * (kx * shift[0] + ky * shift[1] + kz * shift[2]) * dx)
     return u.coeffs * phase

@@ -97,6 +97,9 @@ class TestFilterBank:
 
 
 class TestRadialTables:
+    def test_bank_indexes_the_grid_lattice(self, grid32):
+        assert build_filter_bank(grid32).k2 is grid32.k_squared()
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_gathered_multiplier_is_profile_on_lattice(self, n):
         bank = build_filter_bank(GridSpec(n))

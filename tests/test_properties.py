@@ -1,4 +1,5 @@
-"""Property tests: generated configs and sidecars either run or fail cleanly.
+"""Property tests: generated configs and sidecars either run or fail cleanly,
+transforms round-trip, and random solenoidal fields keep their invariants.
 
 A bad input must surface as a ConfigurationError (exit 2 with one
 ``error:`` line), never as a traceback.
@@ -8,14 +9,23 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpns.cli import CONFIG_KEYS, load_run_config, main
 from lpns.errors import ConfigurationError
+from lpns.flux import EPS_FLOOR, total_flux
 from lpns.snapshots import sidecar_path, write_snapshot
-from lpns.spectral import inverse_transform
+from lpns.spectral import (
+    PhysicalVelocity,
+    energy,
+    forward_transform,
+    inverse_transform,
+    is_dealiased,
+)
 
 from conftest import random_solenoidal_field
 
@@ -97,3 +107,34 @@ def test_analyze_runs_or_exits_2_on_any_sidecar(snapshot16, sidecar, extra):
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"report holds {token}, which is not JSON")
+
+
+#: Real fields on the n=16 grid: a few drawn entries over a drawn background.
+REAL_FIELDS = arrays(
+    np.float64, (3, 16, 16, 16),
+    elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+    fill=st.floats(-1e6, 1e6, allow_subnormal=False),
+)
+
+
+@given(values=REAL_FIELDS)
+def test_transform_round_trip(grid16, values):
+    back = inverse_transform(forward_transform(PhysicalVelocity(grid16, values))).values
+    assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+
+
+@given(seed=st.integers(0, 2**32 - 1), l2=st.floats(1e-3, 1e3))
+def test_random_solenoidal_field_invariants(grid16, bank16, seed, l2):
+    """Dealiased, zero mean, energy l2^2, and zero total flux to criterion 5's 1e-9."""
+    u = random_solenoidal_field(grid16, seed, l2)
+    assert is_dealiased(u)
+    assert not np.any(u.coeffs[:, 0, 0, 0])
+    assert energy(u) == pytest.approx(l2**2, rel=1e-12)
+    flux_sum, scale = total_flux(u, bank16)
+    assert abs(flux_sum) / max(scale, EPS_FLOOR) < 1e-9

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from lpns.cli import main
 from lpns.errors import ConfigurationError
-from lpns.snapshots import read_snapshot, sidecar_path, write_snapshot
+from lpns.snapshots import _HEADER, read_snapshot, sidecar_path, write_snapshot
 from lpns.spectral import inverse_transform, make_taylor_green
 
 
@@ -93,6 +94,30 @@ class TestErrors:
             read_snapshot(path)
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_time_not_written(self, tmp_path, tg_physical, time):
+        path = tmp_path / "field.lpns"
+        tg_physical.time = time
+        with pytest.raises(ConfigurationError, match="time"):
+            write_snapshot(path, tg_physical)
+        assert not path.exists() and not sidecar_path(path).exists()
+
+    @pytest.mark.parametrize(
+        "offset", [_HEADER.size - 8, _HEADER.size + 8 * 1234], ids=["header-time", "payload-value"]
+    )
+    def test_nonfinite_data_rejected(self, tmp_path, tg_physical, capsys, offset):
+        path = tmp_path / "field.lpns"
+        write_snapshot(path, tg_physical, {"nu": 0.1})
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 8] = struct.pack("<d", math.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            read_snapshot(path)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

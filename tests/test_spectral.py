@@ -6,6 +6,7 @@ import pytest
 from lpns.errors import ConfigurationError, InvariantViolation
 from lpns.spectral import (
     GridSpec,
+    _lattice,
     PhysicalVelocity,
     SpectralVelocity,
     dealias,
@@ -49,6 +50,14 @@ class TestGridSpec:
         assert kx[15, 0, 0] == -1
         assert kx[8, 0, 0] == -8
         assert ky[0, 3, 0] == 3 and kz[0, 0, 2] == 2
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_lattice_is_one_integer_grid_and_three_axes(self, n):
+        """|k|^2 is the only full-grid array; each wavevector axis is 1-D in layout."""
+        arrays = _lattice(n)
+        assert sum(a.nbytes for a in arrays) <= 8 * n**3 + 24 * n
+        for axis, k in enumerate(arrays[:3]):
+            assert k.shape.count(n) == 1 and k.shape[axis] == n
 
 
 class TestTransforms:

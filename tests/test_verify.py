@@ -1,5 +1,7 @@
 import pytest
 
+import lpns.spectral
+import lpns.verify
 from lpns.errors import ConfigurationError
 from lpns.verify import (
     bernstein_suite,
@@ -14,6 +16,10 @@ from lpns.verify import (
 def _all_pass(results):
     assert results
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_random_field_generator_lives_in_spectral():
+    assert lpns.verify.random_solenoidal_field is lpns.spectral.random_solenoidal_field
 
 
 def test_partition_suite():
