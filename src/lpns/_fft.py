@@ -24,3 +24,11 @@ def fftn(a, axes=(-3, -2, -1)):
 
 def ifftn(a, axes=(-3, -2, -1)):
     return _sfft.ifftn(a, axes=axes, workers=workers())
+
+
+def rfftn(a, axes=(-3, -2, -1)):
+    return _sfft.rfftn(a, axes=axes, workers=workers())
+
+
+def irfftn(a, axes=(-3, -2, -1)):
+    return _sfft.irfftn(a, axes=axes, workers=workers())

@@ -145,7 +145,7 @@ def load_run_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
-    for key in ("nu", "dt", "t_end"):
+    for key in ("nu", "dt", "t_end", "amplitude"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigurationError(f"{key} must be finite, got {raw[key]}")
     if cfg.ic not in ("taylor_green", "random", "snapshot"):
@@ -225,7 +225,11 @@ def cmd_simulate(args) -> int:
         nonlinear_enabled=cfg.nonlinear,
     )
     bank = build_filter_bank(grid)
-    result = simulate(u0, params, bank)
+    try:
+        result = simulate(u0, params, bank)
+    except (StepSizeError, DivergenceError) as exc:
+        _write_csv(out_dir / "diagnostics.csv", exc.rows)
+        raise
     _write_csv(out_dir / "diagnostics.csv", result.rows)
     manifest = {
         "code_version": __version__,

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError, UndefinedRatioError
-from .lp import FilterBank, shell_energies, truncate_low
-from .spectral import BOX_VOLUME, SpectralVelocity, _hat, _lattice, _physical, is_dealiased
+from .lp import FilterBank, phi_profile, shell_energies, truncate_low
+from .spectral import SpectralVelocity, _hat, _lattice, _lattice_sum, _physical, is_dealiased
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
 #: in full double contractions.
@@ -54,20 +54,21 @@ def _check_shell(bank, q):
         raise ShellRangeError(f"shell {q} outside [{bank.q_min}, {bank.q_max}]")
 
 
-def _products(phys) -> np.ndarray:
-    """The pointwise products u_i u_j of grid values, upper-triangle components."""
-    return np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS])
+def _products(phys):
+    """The pointwise products u_i u_j of grid values, upper-triangle components,
+    built one at a time."""
+    return (phys[i] * phys[j] for i, j in SYM_PAIRS)
 
 
 def product_tensor_hat(u: SpectralVelocity, phys=None) -> np.ndarray:
     """Coefficients of the pointwise tensor u_i u_j, upper-triangle components."""
-    return _hat(_products(_physical(u.coeffs) if phys is None else phys))
+    return _hat(np.stack(list(_products(_physical(u.coeffs) if phys is None else phys))))
 
 
 def _contract_k(what) -> np.ndarray:
     """k_j T_ij for a symmetric spectral tensor T in upper-triangle storage:
     the divergence d_j T_ij without its factor i."""
-    kx, ky, kz, _ = _lattice(what.shape[-1])
+    kx, ky, kz = _lattice(what.shape[-2])[:3]
     out = np.empty((3, *what.shape[1:]), dtype=what.dtype)
     out[0] = kx * what[0] + ky * what[1] + kz * what[2]
     out[1] = kx * what[1] + ky * what[3] + kz * what[4]
@@ -102,15 +103,18 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
     """Brute-force remainder via the lattice-translation kernel (O(n^6) oracle).
 
     Sums W(y) (u(x-y) - u(x)) o (u(x-y) - u(x)) over every lattice shift y,
-    where W is the inverse transform of phi_q.  Independent of the multiplier
-    rearrangement used by :func:`remainder`.
+    where W is the inverse transform of phi_q, built from ``phi_profile`` on the
+    full lattice.  Independent of the multiplier rearrangement used by
+    :func:`remainder` and of how the bank stores its multipliers.
     """
     if q < 0:
         raise ShellRangeError("remainder defined for shells q >= 0")
     _check_shell(bank, q)
     n = u.grid.n
     phys = _physical(u.coeffs)
-    kernel = _fft.ifftn(bank.multiplier(q)).real
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.sqrt(k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2)
+    kernel = _fft.ifftn(phi_profile(kmag, q)).real
     out = np.zeros((6, n, n, n))
     for a in range(n):
         for b in range(n):
@@ -124,8 +128,7 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
 
 def tensor_l2_norm(tensor_hat) -> float:
     """Frobenius L2 norm of a symmetric spectral tensor field."""
-    comp = np.sum(np.abs(tensor_hat) ** 2, axis=(-3, -2, -1))
-    return math.sqrt(BOX_VOLUME * float(np.sum(SYM_WEIGHTS * comp)))
+    return math.sqrt(float(np.sum(SYM_WEIGHTS * _lattice_sum(np.abs(tensor_hat) ** 2))))
 
 
 def _transfer_density(u: SpectralVelocity, what=None) -> np.ndarray:
@@ -155,8 +158,7 @@ def shell_dissipations(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
 
 
 def _sym_grad_hat(uq_coeffs, n):
-    kx, ky, kz, _ = _lattice(n)
-    k = (kx, ky, kz)
+    k = _lattice(n)[:3]
     return np.stack(
         [0.5j * (k[i] * uq_coeffs[j] + k[j] * uq_coeffs[i]) for i, j in SYM_PAIRS]
     )
@@ -164,8 +166,7 @@ def _sym_grad_hat(uq_coeffs, n):
 
 def _tensor_pairing(a_hat, b_hat) -> float:
     """int sum_{ij} A_ij B_ij dx for symmetric spectral tensors."""
-    comp = np.sum(a_hat * np.conj(b_hat), axis=(-3, -2, -1)).real
-    return BOX_VOLUME * float(np.sum(SYM_WEIGHTS * comp))
+    return float(np.sum(SYM_WEIGHTS * _lattice_sum((a_hat * np.conj(b_hat)).real)))
 
 
 def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int = LOW_PASS_SHIFT):
@@ -383,8 +384,8 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     dissipations = bank.shell_sum(d_density)
     transfers = bank.shell_sum(t_density)
     flux_sum, flux_scale = _flux_sums(bank.shell_sum(t_density, squared=False))
-    energy = BOX_VOLUME * float(np.sum(e_density))
-    enstrophy = BOX_VOLUME * float(np.sum(d_density))
+    energy = float(_lattice_sum(e_density))
+    enstrophy = float(_lattice_sum(d_density))
     del e_density, d_density, t_density  # not held through the rows below
     table = (np.sqrt(energies), l4)
     lams = bank.lambdas()

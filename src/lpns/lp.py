@@ -7,11 +7,12 @@ integer lattice the q >= 0 shells telescope to a partition of unity on every
 retained nonzero mode, and shells with q < 0 vanish identically.
 
 Every multiplier depends on k only through the integer m = |k|^2, so the bank
-stores radial tables indexed by m in [0, 3 (n/2)^2] plus the integer lattice
-of m.  A shell sum sum_k phi_q(k)^p density(k) is one radial histogram of the
-density (np.bincount over the lattice) followed by a table-vector product;
-a full-lattice multiplier is gathered from its table only where a field is
-actually filtered.
+stores radial tables indexed by m in [0, 3 (n/2)^2] plus the half-spectrum
+lattice of m.  A shell sum sum_k phi_q(k)^p density(k) over the whole lattice
+is one radial histogram of the half-spectrum-weighted density (np.bincount
+over the lattice) followed by a table-vector product; a multiplier is
+gathered from its table onto the half spectrum only where a field is actually
+filtered.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .spectral import (
     BOX_VOLUME,
     GridSpec,
     SpectralVelocity,
+    _lattice,
     inverse_transform,
     lp_norm,
 )
@@ -71,7 +73,7 @@ class FilterBank:
     """Shell multipliers of one grid as radial tables; immutable and shareable.
 
     Table column m holds the multiplier's value at |k| = sqrt(m), so the
-    full-lattice multiplier of shell q is ``phi[q - q_min][k2]``.  The array
+    half-spectrum multiplier of shell q is ``phi[q - q_min][k2]``.  The array
     fields are the whole bank.
     """
 
@@ -81,7 +83,7 @@ class FilterBank:
     phi: np.ndarray      # (n_shells, 3 (n/2)^2 + 1), phi[q - q_min, m] = phi_q(sqrt(m))
     phi_sq: np.ndarray   # phi**2
     psi0: np.ndarray     # (3 (n/2)^2 + 1,), psi(sqrt(m))
-    k2: np.ndarray       # (n, n, n) integer |k|^2: the lattice index into every table
+    k2: np.ndarray       # (n, n, n/2 + 1) integer |k|^2: the lattice index into every table
     profile_id: str = PROFILE_ID
 
     @property
@@ -96,16 +98,18 @@ class FilterBank:
         return 2.0 ** np.arange(self.q_min, self.q_max + 1, dtype=np.float64)
 
     def multiplier(self, q) -> np.ndarray:
-        """phi_q gathered onto the full (n, n, n) lattice."""
+        """phi_q gathered onto the half spectrum."""
         if not self.q_min <= q <= self.q_max:
             raise ShellRangeError(f"shell {q} outside [{self.q_min}, {self.q_max}]")
         return self.phi[q - self.q_min][self.k2]
 
     def shell_sum(self, density, *, squared: bool = True) -> np.ndarray:
-        """BOX_VOLUME * sum_k phi_q(k)^p density(k) for every shell, p = 2
-        (or p = 1 with ``squared=False``); density is real on the lattice."""
+        """BOX_VOLUME * sum_k phi_q(k)^p density(k) over the whole lattice for
+        every shell, p = 2 (or p = 1 with ``squared=False``); density is real and
+        held on the half spectrum, weighted as in ``spectral._lattice_sum``."""
+        weight = _lattice(self.grid.n)[4]
         radial = np.bincount(
-            self.k2.ravel(), weights=np.ravel(density), minlength=self.phi.shape[1]
+            self.k2.ravel(), weights=np.ravel(weight * density), minlength=self.phi.shape[1]
         )
         return BOX_VOLUME * ((self.phi_sq if squared else self.phi) @ radial)
 
@@ -153,7 +157,7 @@ def decompose(u: SpectralVelocity, bank: FilterBank) -> ShellDecomposition:
 
 def reconstruct(d: ShellDecomposition) -> SpectralVelocity:
     """Sum of the pieces; equals the zero-mean source to machine precision."""
-    coeffs = np.zeros((3, *d.grid.shape), dtype=np.complex128)
+    coeffs = np.zeros((3, *d.grid.spectral_shape), dtype=np.complex128)
     time = 0.0
     for piece in d.pieces.values():
         coeffs += piece.coeffs
@@ -164,7 +168,7 @@ def reconstruct(d: ShellDecomposition) -> SpectralVelocity:
 def _low_multiplier(bank: FilterBank, q_top: int) -> np.ndarray:
     upper = min(q_top, bank.q_max) - bank.q_min + 1
     if upper <= 0:
-        return np.zeros(bank.grid.shape)
+        return np.zeros(bank.grid.spectral_shape)
     return np.sum(bank.phi[:upper], axis=0)[bank.k2]
 
 

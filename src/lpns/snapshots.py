@@ -35,18 +35,22 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
         raise ConfigurationError("field shape does not match its grid")
     if not math.isfinite(field.time):
         raise ConfigurationError(f"snapshot time must be finite, got {field.time}")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.time))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
     sidecar = {
         "grid": {"n": field.grid.n, "dealias_fraction": field.grid.dealias_fraction},
         "time": field.time,
         "psi_profile": PROFILE_ID,
     }
     sidecar.update(meta or {})
-    with open(sidecar_path(path), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        text = json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"snapshot {path}: sidecar holds a non-finite number, which JSON cannot represent"
+        ) from exc
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.time))
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+    sidecar_path(path).write_text(text)
 
 
 def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:

@@ -23,7 +23,7 @@ from .errors import (
     ShellRangeError,
     StepSizeError,
 )
-from .flux import _check_viscosity, _contract_k, _evaluate, _products
+from .flux import SYM_PAIRS, _check_viscosity, _contract_k, _evaluate, _products
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
@@ -64,7 +64,11 @@ def _nonlinear_hat(coeffs, grid, phys=None):
     """-P D grad.(u o u) evaluated spectrally; D is the dealias projection."""
     if phys is None:
         phys = _physical(coeffs)
-    what = _fft.fftn(_products(phys), axes=(1, 2, 3)) / grid.n**3
+    # Component by component, so only one full-lattice transform is held at a time.
+    what = np.empty((len(SYM_PAIRS), *grid.spectral_shape), dtype=np.complex128)
+    for c, product in enumerate(_products(phys)):
+        what[c] = _fft.fftn(product)[..., : grid.n // 2 + 1]
+    what /= grid.n**3
     out = _contract_k(what)
     out *= -1j
     out *= grid.dealias_mask()
@@ -165,7 +169,10 @@ def _validate_initial(u):
 
 
 def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None = None) -> SimulationResult:
-    """March the field to t_end, sampling diagnostics every diag_every steps."""
+    """March the field to t_end, sampling diagnostics every diag_every steps.
+
+    A StepSizeError or DivergenceError raised during the march carries the rows
+    sampled before it as its ``rows`` attribute."""
     _validate_initial(u0)
     if bank is None:
         bank = build_filter_bank(u0.grid)
@@ -177,17 +184,21 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
     snapshots = []
     if params.snapshot_every:
         snapshots.append((0, u.copy()))
-    for i in range(1, n_steps + 1):
-        u = step(u, params)
-        if not np.all(np.isfinite(u.coeffs.view(np.float64))):
-            raise DivergenceError(
-                f"solution diverged at t = {u.time:g}; last good time {(i - 1) * params.dt:g}",
-                last_good_time=(i - 1) * params.dt,
-            )
-        if i % params.diag_every == 0:
-            rows.append(_sample_row(u, bank, params.nu))
-        if params.snapshot_every and i % params.snapshot_every == 0:
-            snapshots.append((i, u.copy()))
+    try:
+        for i in range(1, n_steps + 1):
+            u = step(u, params)
+            if not np.all(np.isfinite(u.coeffs.view(np.float64))):
+                raise DivergenceError(
+                    f"solution diverged at t = {u.time:g}; last good time {(i - 1) * params.dt:g}",
+                    last_good_time=(i - 1) * params.dt,
+                )
+            if i % params.diag_every == 0:
+                rows.append(_sample_row(u, bank, params.nu))
+            if params.snapshot_every and i % params.snapshot_every == 0:
+                snapshots.append((i, u.copy()))
+    except (StepSizeError, DivergenceError) as exc:
+        exc.rows = rows
+        raise
     return SimulationResult(params=params, rows=rows, snapshots=snapshots, final=u)
 
 

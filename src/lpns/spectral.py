@@ -6,15 +6,24 @@ u(x) = sum_k u_hat(k) exp(i k.x), and Parseval is
 int |u|^2 dx = (2*pi)^3 * sum_k |u_hat(k)|^2.  All norms are unnormalized
 integrals over the full box.
 
+Every velocity is real, so u_hat(-k) = conj(u_hat(k)) and only the half
+spectrum 0 <= kz <= n/2 is stored, as arrays (..., n, n, n/2 + 1).  Only the
+kz = 0 and kz = n/2 planes hold both k and -k, so only there can the stored
+coefficients fail to describe a real field (``hermitian_residual``).  In a
+sum over the whole lattice each stored mode with 0 < kz < n/2 counts twice,
+for itself and its partner -k; ``_lattice_sum`` and ``FilterBank.shell_sum``
+apply that weight.
+
 This module owns the discrete form of that convention.  ``_hat`` and
-``_physical`` are the one transform pair (fftn / n^3 and ifftn * n^3 over the
-last three axes); every transform of the package except the time step's
+``_physical`` are the one transform pair (rfftn / n^3 and irfftn * n^3 over
+the last three axes); every transform of the package except the time step's
 forward transform and the O(n^6) oracle's kernel goes through them.  The
 lattice is stored once per n (``_lattice``): the integer wavenumber axes
-shaped (n, 1, 1), (1, n, 1) and (1, 1, n), which broadcast against the grid,
-and one read-only int64 |k|^2 on the full grid, which is also the filter
-bank's index into its radial tables.  ``_solenoidal_noise`` is the one random
-draw behind both random-field generators.
+shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
+half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also
+the filter bank's index into its radial tables, and the half-spectrum weight.
+``_solenoidal_noise`` is the one random draw behind both random-field
+generators.
 """
 
 from __future__ import annotations
@@ -36,18 +45,22 @@ _HERMITIAN_RTOL = 1e-10
 
 @functools.lru_cache(maxsize=16)
 def _lattice(n):
-    """Read-only (kx, ky, kz, |k|^2); every |k|^2 is below 2^53, so it converts to float exactly."""
+    """Read-only (kx, ky, kz, |k|^2, weight) on the half spectrum; every |k|^2 is
+    below 2^53, so it converts to float exactly.  weight is 1 on the kz = 0 and
+    kz = n/2 planes and 2 elsewhere."""
     freq = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-    freq.flags.writeable = False
-    kx, ky, kz = freq.reshape(n, 1, 1), freq.reshape(1, n, 1), freq.reshape(1, 1, n)
+    half = np.rint(np.fft.rfftfreq(n, d=1.0 / n)).astype(np.int64)
+    freq.flags.writeable = half.flags.writeable = False
+    kx, ky, kz = freq.reshape(n, 1, 1), freq.reshape(1, n, 1), half.reshape(1, 1, -1)
     k2 = kx * kx + ky * ky + kz * kz
-    k2.flags.writeable = False
-    return kx, ky, kz, k2
+    weight = np.where((kz == 0) | (kz == n // 2), 1.0, 2.0)
+    k2.flags.writeable = weight.flags.writeable = False
+    return kx, ky, kz, k2, weight
 
 
 @functools.lru_cache(maxsize=16)
 def _dealias_mask(n, k_max):
-    kx, ky, kz, _ = _lattice(n)
+    kx, ky, kz = _lattice(n)[:3]
     mask = (np.abs(kx) <= k_max) & (np.abs(ky) <= k_max) & (np.abs(kz) <= k_max)
     mask.flags.writeable = False
     return mask
@@ -79,15 +92,21 @@ class GridSpec:
 
     @property
     def shape(self):
+        """Shape of one component on the physical grid."""
         return (self.n, self.n, self.n)
+
+    @property
+    def spectral_shape(self):
+        """Shape of one component's half spectrum, 0 <= kz <= n/2."""
+        return (self.n, self.n, self.n // 2 + 1)
 
     def wavevectors(self):
         """Integer wavevector components (kx, ky, kz), shaped (n, 1, 1), (1, n, 1)
-        and (1, 1, n) so that they broadcast against (n, n, n) arrays."""
+        and (1, 1, n/2 + 1) so that they broadcast against the half spectrum."""
         return _lattice(self.n)[:3]
 
     def k_squared(self):
-        """Integer |k|^2 on the full (n, n, n) grid (int64, read-only)."""
+        """Integer |k|^2 on the half spectrum (int64, read-only)."""
         return _lattice(self.n)[3]
 
     def k_magnitude(self):
@@ -100,7 +119,10 @@ class GridSpec:
 
 @dataclass
 class SpectralVelocity:
-    """Three-component Fourier coefficient lattice, complex128 (3, n, n, n)."""
+    """Three-component half spectrum of a real field, complex128 (3, n, n, n/2 + 1).
+
+    coeffs[:, i, j, l] is u_hat at (kx, ky, kz) = (fftfreq[i], fftfreq[j], l); the
+    modes with kz < 0 are the conjugates of stored ones and are not kept."""
 
     grid: GridSpec
     coeffs: np.ndarray
@@ -123,17 +145,24 @@ class PhysicalVelocity:
 
 
 def zero_velocity(grid: GridSpec) -> SpectralVelocity:
-    return SpectralVelocity(grid, np.zeros((3, *grid.shape), dtype=np.complex128))
+    return SpectralVelocity(grid, np.zeros((3, *grid.spectral_shape), dtype=np.complex128))
 
 
 def _hat(values):
-    """Fourier coefficients over the last three axes: fftn / n^3."""
-    return _fft.fftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
+    """Half-spectrum coefficients of real values over the last three axes: rfftn / n^3."""
+    return _fft.rfftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
 
 
 def _physical(coeffs):
-    """Real grid values over the last three axes: the real part of ifftn * n^3."""
-    return _fft.ifftn(coeffs, axes=(-3, -2, -1)).real * coeffs.shape[-1] ** 3
+    """Real grid values of half-spectrum coefficients over the last three axes: irfftn * n^3."""
+    return _fft.irfftn(coeffs, axes=(-3, -2, -1)) * coeffs.shape[-2] ** 3
+
+
+def _lattice_sum(density):
+    """BOX_VOLUME * sum_k density(k) over the whole lattice, for a real per-mode
+    density held on the half spectrum; sums the last three axes."""
+    weight = _lattice(density.shape[-2])[4]
+    return BOX_VOLUME * np.sum(weight * density, axis=(-3, -2, -1))
 
 
 def forward_transform(f: PhysicalVelocity) -> SpectralVelocity:
@@ -146,16 +175,19 @@ def forward_transform(f: PhysicalVelocity) -> SpectralVelocity:
 
 
 def hermitian_residual(u: SpectralVelocity) -> float:
-    """Max |u_hat(-k) - conj(u_hat(k))| over the lattice."""
-    reflected = np.roll(u.coeffs[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
-    return float(np.max(np.abs(np.conj(reflected) - u.coeffs)))
+    """Max |u_hat(-k) - conj(u_hat(k))| over the kz = 0 and kz = n/2 planes, the
+    only stored modes whose partner -k is stored too."""
+    planes = u.coeffs[..., [0, -1]]
+    reflected = np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
+    return float(np.max(np.abs(np.conj(reflected) - planes)))
 
 
 def inverse_transform(u: SpectralVelocity) -> PhysicalVelocity:
-    """Synthesize the real-space field; rejects non-Hermitian coefficient sets."""
-    if u.coeffs.shape != (3, *u.grid.shape):
+    """Synthesize the real-space field; rejects coefficients whose kz = 0 or
+    kz = n/2 plane breaks Hermitian symmetry."""
+    if u.coeffs.shape != (3, *u.grid.spectral_shape):
         raise ConfigurationError(
-            f"coefficient shape {u.coeffs.shape} does not match grid {(3, *u.grid.shape)}"
+            f"coefficient shape {u.coeffs.shape} does not match grid {(3, *u.grid.spectral_shape)}"
         )
     scale = float(np.max(np.abs(u.coeffs))) if u.coeffs.size else 0.0
     if scale > 0.0 and hermitian_residual(u) > _HERMITIAN_RTOL * scale:
@@ -165,7 +197,7 @@ def inverse_transform(u: SpectralVelocity) -> PhysicalVelocity:
 
 def _project_coeffs(coeffs, grid):
     """Apply I - k k^T / |k|^2 to every mode of coeffs, in place."""
-    kx, ky, kz, k2 = _lattice(grid.n)
+    kx, ky, kz, k2, _ = _lattice(grid.n)
     inv = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
     np.divide(1.0, k2, out=inv, where=k2 > 0)
     div = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
@@ -199,18 +231,18 @@ def is_dealiased(u: SpectralVelocity) -> bool:
 
 def l2_norm(u: SpectralVelocity) -> float:
     """Unnormalized L2 norm, sqrt(int |u|^2 dx), computed spectrally."""
-    return math.sqrt(BOX_VOLUME * float(np.sum(np.abs(u.coeffs) ** 2)))
+    return math.sqrt(energy(u))
 
 
 def energy(u: SpectralVelocity) -> float:
     """Squared L2 norm int |u|^2 dx."""
-    return BOX_VOLUME * float(np.sum(np.abs(u.coeffs) ** 2))
+    return float(_lattice_sum(np.sum(np.abs(u.coeffs) ** 2, axis=0)))
 
 
 def enstrophy(u: SpectralVelocity) -> float:
     """Squared gradient norm int |grad u|^2 dx."""
     k2 = u.grid.k_squared()
-    return BOX_VOLUME * float(np.sum(k2 * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
+    return float(_lattice_sum(k2 * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
 
 
 def physical_l2_norm(f: PhysicalVelocity) -> float:
@@ -236,7 +268,7 @@ def divergence_residual(u: SpectralVelocity) -> float:
     Modes below 1e-13 of the peak coefficient magnitude carry no field content
     and are excluded, so transform round-off junk does not dominate the ratio.
     """
-    kx, ky, kz, k2 = _lattice(u.grid.n)
+    kx, ky, kz, k2, _ = _lattice(u.grid.n)
     vecmag = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=0))
     scale = float(np.max(vecmag))
     if scale == 0.0:
@@ -252,18 +284,17 @@ def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:
     """Taylor-Green vortex a*(sin x cos y cos z, -cos x sin y cos z, 0).
 
     Placed directly in coefficient space: the field lives on the eight modes
-    (+-1, +-1, +-1), |k| = sqrt(3), and is divergence-free mode by mode.
+    (+-1, +-1, +-1), |k| = sqrt(3), and is divergence-free mode by mode.  The
+    half spectrum stores the four with kz = +1.
     """
     if not math.isfinite(amplitude):
         raise ConfigurationError("Taylor-Green amplitude must be finite")
-    coeffs = np.zeros((3, *grid.shape), dtype=np.complex128)
-    n = grid.n
+    coeffs = np.zeros((3, *grid.spectral_shape), dtype=np.complex128)
     for s1 in (1, -1):
         for s2 in (1, -1):
-            for s3 in (1, -1):
-                idx = (s1 % n, s2 % n, s3 % n)
-                coeffs[(0, *idx)] = -0.125j * s1 * amplitude
-                coeffs[(1, *idx)] = 0.125j * s2 * amplitude
+            idx = (s1 % grid.n, s2 % grid.n, 1)
+            coeffs[(0, *idx)] = -0.125j * s1 * amplitude
+            coeffs[(1, *idx)] = 0.125j * s2 * amplitude
     return SpectralVelocity(grid, coeffs)
 
 
@@ -282,7 +313,7 @@ def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> Spect
     """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
     coeffs = _solenoidal_noise(grid, seed) * grid.dealias_mask()
     coeffs[:, 0, 0, 0] = 0.0
-    coeffs *= l2 / math.sqrt(BOX_VOLUME * float(np.sum(np.abs(coeffs) ** 2)))
+    coeffs *= l2 / l2_norm(SpectralVelocity(grid, coeffs))
     return SpectralVelocity(grid, coeffs)
 
 
@@ -306,7 +337,7 @@ def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
             )
         if target < 0 or not math.isfinite(target):
             raise ConfigurationError(f"shell {q} energy must be finite and >= 0")
-    coeffs = np.zeros((3, *grid.shape), dtype=np.complex128)
+    coeffs = np.zeros((3, *grid.spectral_shape), dtype=np.complex128)
     if spectrum:
         noise = _solenoidal_noise(grid, seed)
         k2 = grid.k_squared()
@@ -315,7 +346,7 @@ def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
             if target == 0.0:
                 continue
             band = noise * (k2 == 4**q)
-            have = BOX_VOLUME * float(np.sum(np.abs(band) ** 2))
+            have = energy(SpectralVelocity(grid, band))
             if have <= 0.0:
                 raise ConfigurationError(f"degenerate draw left shell {q} empty")
             coeffs += band * math.sqrt(target / have)

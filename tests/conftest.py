@@ -42,6 +42,11 @@ def bank64(grid64):
     return build_filter_bank(grid64)
 
 
+def half_spectrum(full):
+    """The stored half 0 <= kz <= n/2 of full-lattice coefficients (..., n, n, n)."""
+    return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
+
+
 def single_mode_field(grid, k, component_amplitudes, solenoidal=True):
     """Field on the mode pair +-k; projected to divergence-free by default."""
     coeffs = np.zeros((3, *grid.shape), dtype=np.complex128)
@@ -50,7 +55,7 @@ def single_mode_field(grid, k, component_amplitudes, solenoidal=True):
     for comp, amp in enumerate(component_amplitudes):
         coeffs[(comp, *idx)] = amp
         coeffs[(comp, *neg)] = np.conj(amp)
-    u = SpectralVelocity(grid, coeffs)
+    u = SpectralVelocity(grid, half_spectrum(coeffs))
     if solenoidal:
         u = leray_project(u)
     return u
@@ -75,10 +80,10 @@ def mode_keyed_field(n, seed, kcap=10, decay=0.02):
     coeffs = np.zeros((3, *grid.shape), dtype=np.complex128)
     coeffs[np.ix_(range(3), ks % n, ks % n, ks % n)] = cube
     reflected = np.roll(coeffs[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
-    u = SpectralVelocity(grid, 0.5 * (coeffs + np.conj(reflected)))
+    u = SpectralVelocity(grid, half_spectrum(0.5 * (coeffs + np.conj(reflected))))
     u = leray_project(u)
     u.coeffs[:, 0, 0, 0] = 0.0
     return dealias(u)
 
 
-__all__ = ["mode_keyed_field", "random_solenoidal_field", "single_mode_field"]
+__all__ = ["half_spectrum", "mode_keyed_field", "random_solenoidal_field", "single_mode_field"]

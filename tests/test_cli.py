@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import lpns.solver
 from lpns.bounds import riccati_solve
 from lpns.cli import main, parse_config_text
-from lpns.errors import ConfigurationError
-from lpns.snapshots import write_snapshot
+from lpns.errors import ConfigurationError, DivergenceError, StepSizeError
+from lpns.snapshots import sidecar_path, write_snapshot
 from lpns.spectral import inverse_transform, make_taylor_green, zero_velocity
 from lpns.verify import nlt_suite
 
@@ -76,9 +77,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "overrides",
         [{"nu": "nan"}, {"dt": "nan"}, {"t_end": "inf"}, {"diag_evry": 5}, {"dealias": "0/0"},
-         {"s": 7}],
+         {"s": 7}, {"amplitude": "nan", "ic": "random", "spectrum": "0:0.1"}],
         ids=["nu-nan", "dt-nan", "t_end-inf", "unknown-key", "dealias-zero-division",
-             "removed-s-key"],
+             "removed-s-key", "amplitude-nan"],
     )
     def test_bad_value_or_key_exits_2(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "run.cfg"
@@ -87,6 +88,31 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(overrides)) in err
+
+    @pytest.mark.parametrize(
+        "error",
+        [StepSizeError("dt violates the CFL bound", admissible_dt=1e-4),
+         DivergenceError("solution diverged", last_good_time=2e-3)],
+        ids=["step-size", "divergence"],
+    )
+    def test_failed_run_keeps_its_rows(self, tmp_path, monkeypatch, error):
+        """A numerical failure on the third step exits 3 and leaves the rows of steps 0-2."""
+        real_step = lpns.solver.step
+        calls = {"n": 0}
+
+        def failing(u, params):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise error
+            return real_step(u, params)
+
+        monkeypatch.setattr(lpns.solver, "step", failing)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, diag_every=1)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == EXPECTED_HEADER + ",Eq0,Eq1,Eq2,Eq3,Eq4"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx([0.0, 1e-3, 2e-3])
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -139,7 +165,10 @@ class TestAnalyzeCommand:
     )
     def test_bad_viscosity_exits_2(self, tmp_path, grid16, capsys, sidecar_nu, args):
         path = tmp_path / "tg.lpns"
-        write_snapshot(path, inverse_transform(make_taylor_green(grid16, 1.0)), {"nu": sidecar_nu})
+        write_snapshot(path, inverse_transform(make_taylor_green(grid16, 1.0)), {"nu": 0.1})
+        # write_snapshot refuses non-finite values, so the NaN / Infinity token is written by hand.
+        side = sidecar_path(path)
+        side.write_text(side.read_text().replace('"nu": 0.1', f'"nu": {json.dumps(sidecar_nu)}'))
         assert main(["analyze", str(path), *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -44,7 +44,7 @@ from conftest import random_solenoidal_field, single_mode_field
 def quadrature_transfer(u, bank, q):
     """Independent physical-space evaluation of int Tr[(u o u)_q . grad u_q] dx."""
     n = u.grid.n
-    kx, ky, kz, _ = _lattice(n)
+    kx, ky, kz = _lattice(n)[:3]
     k = (kx, ky, kz)
     what = product_tensor_hat(u)
     tq = bank.multiplier(q) * what
@@ -77,8 +77,7 @@ class TestTensorShell:
     def test_trace_reconstruction(self, grid32, bank32):
         """Traces of the shell tensors sum to u_i u_j minus its mean."""
         tg = make_taylor_green(grid32, 1.0)
-        n = grid32.n
-        total = np.zeros((6, n, n, n), dtype=np.complex128)
+        total = np.zeros((6, *grid32.spectral_shape), dtype=np.complex128)
         for q in bank32.shells:
             total += tensor_shell(tg, bank32, q)
         what = product_tensor_hat(tg)
@@ -130,7 +129,7 @@ class TestRemainder:
 
 def _roll_hat(u, shift):
     """Coefficients of x -> u(x - a) for a lattice shift a."""
-    kx, ky, kz, _ = _lattice(u.grid.n)
+    kx, ky, kz = _lattice(u.grid.n)[:3]
     dx = u.grid.dx
     phase = np.exp(-1j * (kx * shift[0] + ky * shift[1] + kz * shift[2]) * dx)
     return u.coeffs * phase

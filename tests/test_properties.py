@@ -1,5 +1,6 @@
 """Property tests: generated configs and sidecars either run or fail cleanly,
-transforms round-trip, and random solenoidal fields keep their invariants.
+transforms round-trip, random solenoidal fields keep their invariants, and the
+shell profiles form a partition of unity.
 
 A bad input must surface as a ConfigurationError (exit 2 with one
 ``error:`` line), never as a traceback.
@@ -18,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from lpns.cli import CONFIG_KEYS, load_run_config, main
 from lpns.errors import ConfigurationError
 from lpns.flux import EPS_FLOOR, total_flux
+from lpns.lp import phi_profile, psi_profile
 from lpns.snapshots import sidecar_path, write_snapshot
 from lpns.spectral import (
     PhysicalVelocity,
@@ -138,3 +140,18 @@ def test_random_solenoidal_field_invariants(grid16, bank16, seed, l2):
     assert energy(u) == pytest.approx(l2**2, rel=1e-12)
     flux_sum, scale = total_flux(u, bank16)
     assert abs(flux_sum) / max(scale, EPS_FLOOR) < 1e-9
+
+
+#: (Q, r) with 0 < r <= 2^Q.
+RADII = st.integers(0, 12).flatmap(
+    lambda top: st.tuples(st.just(top), st.floats(0.0, 2.0**top, exclude_min=True))
+)
+
+
+@given(case=RADII)
+def test_partition_of_unity(case):
+    """psi(r) + sum_{q<=Q} phi_q(r) = 1 for 0 < r <= 2^Q, and every phi_q(r) lies in [0, 1]."""
+    top, r = case
+    phis = np.array([phi_profile(r, q) for q in range(top + 1)])
+    assert np.all((phis >= 0.0) & (phis <= 1.0))
+    assert psi_profile(r) + np.sum(phis) == pytest.approx(1.0, abs=1e-12)

@@ -103,6 +103,14 @@ class TestErrors:
             write_snapshot(path, tg_physical)
         assert not path.exists() and not sidecar_path(path).exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_meta_not_written(self, tmp_path, tg_physical, value):
+        """A sidecar value JSON cannot represent is refused before either file is written."""
+        path = tmp_path / "field.lpns"
+        with pytest.raises(ConfigurationError, match="field.lpns"):
+            write_snapshot(path, tg_physical, {"nu": value})
+        assert not path.exists() and not sidecar_path(path).exists()
+
     @pytest.mark.parametrize(
         "offset", [_HEADER.size - 8, _HEADER.size + 8 * 1234], ids=["header-time", "payload-value"]
     )

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from lpns.errors import ConfigurationError, InvariantViolation
+from lpns.flux import product_tensor_hat, tensor_l2_norm
+from lpns.lp import build_filter_bank, phi_profile, shell_energies
 from lpns.spectral import (
+    BOX_VOLUME,
     GridSpec,
     _lattice,
     PhysicalVelocity,
@@ -12,6 +15,7 @@ from lpns.spectral import (
     dealias,
     divergence_residual,
     energy,
+    enstrophy,
     forward_transform,
     hermitian_residual,
     inverse_transform,
@@ -23,7 +27,7 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import random_solenoidal_field, single_mode_field
+from conftest import half_spectrum, random_solenoidal_field, single_mode_field
 
 
 class TestGridSpec:
@@ -53,11 +57,13 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_lattice_is_one_integer_grid_and_three_axes(self, n):
-        """|k|^2 is the only full-grid array; each wavevector axis is 1-D in layout."""
+        """|k|^2 is the only grid-sized array, on the half spectrum; each wavevector
+        axis is 1-D in layout."""
         arrays = _lattice(n)
-        assert sum(a.nbytes for a in arrays) <= 8 * n**3 + 24 * n
+        lengths = (n, n, n // 2 + 1)
+        assert sum(a.nbytes for a in arrays) <= 8 * n * n * lengths[2] + 32 * n
         for axis, k in enumerate(arrays[:3]):
-            assert k.shape.count(n) == 1 and k.shape[axis] == n
+            assert k.shape == tuple(lengths[d] if d == axis else 1 for d in range(3))
 
 
 class TestTransforms:
@@ -94,10 +100,26 @@ class TestTransforms:
         assert np.max(np.abs(phys.values[1:])) == 0.0
 
     def test_inverse_rejects_broken_symmetry(self, grid16):
-        coeffs = np.zeros((3, 16, 16, 16), dtype=np.complex128)
-        coeffs[0, 1, 0, 0] = 1.0  # no conjugate partner
+        coeffs = np.zeros((3, *grid16.spectral_shape), dtype=np.complex128)
+        coeffs[0, 1, 0, 0] = 1.0  # a lone kz = 0 mode: no conjugate partner
         with pytest.raises(InvariantViolation):
             inverse_transform(SpectralVelocity(grid16, coeffs))
+
+    def test_inverse_rejects_a_lone_nyquist_plane_mode(self, grid16):
+        coeffs = np.zeros((3, *grid16.spectral_shape), dtype=np.complex128)
+        coeffs[1, 3, 2, 8] = 0.5j  # kz = n/2 holds both k and -k
+        with pytest.raises(InvariantViolation):
+            inverse_transform(SpectralVelocity(grid16, coeffs))
+
+    def test_lone_interior_mode_is_a_real_field(self, grid16):
+        """Off the kz = 0 and kz = n/2 planes one stored mode is the pair +-k."""
+        coeffs = np.zeros((3, *grid16.spectral_shape), dtype=np.complex128)
+        coeffs[0, 1, 2, 3] = 0.5 - 0.25j
+        phys = inverse_transform(SpectralVelocity(grid16, coeffs))
+        x = np.arange(16) * grid16.dx
+        phase = x[:, None, None] + 2 * x[None, :, None] + 3 * x[None, None, :]
+        assert np.max(np.abs(phys.values[0] - (np.cos(phase) + 0.5 * np.sin(phase)))) < 1e-14
+        assert not np.any(phys.values[1:])
 
     def test_dimension_mismatch(self, grid16):
         with pytest.raises(ConfigurationError):
@@ -112,12 +134,56 @@ class TestTransforms:
             assert l2_norm(u) == pytest.approx(phys_norm, rel=1e-10)
 
 
+def _full_k2(n):
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+
+
+class TestHalfSpectrumWeights:
+    """Whole-lattice sums over the half spectrum against full-lattice np.fft.fftn sums."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sums_match_full_lattice(self, n, seed):
+        grid = GridSpec(n)
+        bank = build_filter_bank(grid)
+        values = np.random.default_rng(seed).standard_normal((3, n, n, n))
+        u = forward_transform(PhysicalVelocity(grid, values))
+        full = np.fft.fftn(values, axes=(1, 2, 3)) / n**3
+        density = np.sum(np.abs(full) ** 2, axis=0)
+        k2 = _full_k2(n)
+        assert energy(u) == pytest.approx(BOX_VOLUME * np.sum(density), rel=1e-13)
+        assert enstrophy(u) == pytest.approx(BOX_VOLUME * np.sum(k2 * density), rel=1e-13)
+        shells = shell_energies(u, bank)
+        for q in bank.shells:
+            want = BOX_VOLUME * np.sum(phi_profile(np.sqrt(k2), q) ** 2 * density)
+            assert shells[q - bank.q_min] == pytest.approx(want, rel=1e-13)
+        products = np.stack([values[i] * values[j] for i in range(3) for j in range(3)])
+        frobenius = BOX_VOLUME * np.sum(np.abs(np.fft.fftn(products, axes=(1, 2, 3)) / n**3) ** 2)
+        assert tensor_l2_norm(product_tensor_hat(u)) == pytest.approx(math.sqrt(frobenius), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_hermitian_residual_matches_full_lattice(self, n):
+        """The residual of a complex field's coefficients is the full-lattice residual
+        on the kz = 0 and kz = n/2 planes; a real field's is round-off."""
+        grid = GridSpec(n)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
+        full = np.fft.fftn(z, axes=(1, 2, 3)) / n**3
+        reflected = np.roll(full[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
+        gap = np.abs(np.conj(reflected) - full)[..., [0, n // 2]]
+        got = hermitian_residual(SpectralVelocity(grid, half_spectrum(full)))
+        assert got == pytest.approx(np.max(gap), rel=1e-13)
+        real = forward_transform(PhysicalVelocity(grid, z.real))
+        assert hermitian_residual(real) <= 1e-13 * np.max(np.abs(real.coeffs))
+
+
 class TestLerayProjection:
     def test_annihilates_gradient_fields(self, grid16):
         """A pure gradient u_hat = i k g(k) projects to zero."""
         rng = np.random.default_rng(3)
         g = rng.standard_normal((16, 16, 16))
-        ghat = np.fft.fftn(g) / 16**3
+        ghat = np.fft.rfftn(g) / 16**3
         kx, ky, kz = grid16.wavevectors()
         coeffs = np.stack([1j * kx * ghat, 1j * ky * ghat, 1j * kz * ghat])
         proj = leray_project(SpectralVelocity(grid16, coeffs))
