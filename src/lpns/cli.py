@@ -225,11 +225,11 @@ def cmd_simulate(args) -> int:
         nonlinear_enabled=cfg.nonlinear,
     )
     bank = build_filter_bank(grid)
+    failure = None
     try:
         result = simulate(u0, params, bank)
     except (StepSizeError, DivergenceError) as exc:
-        _write_csv(out_dir / "diagnostics.csv", exc.rows)
-        raise
+        result, failure = exc.result, exc
     _write_csv(out_dir / "diagnostics.csv", result.rows)
     manifest = {
         "code_version": __version__,
@@ -247,13 +247,19 @@ def cmd_simulate(args) -> int:
                     + ",".join(f"Eq{q}" for q in bank.shells)).split(","),
         "n_steps": int(round(cfg.t_end / cfg.dt)),
         "threads": os.environ.get("LPNS_THREADS", "1"),
+        "status": "ok" if failure is None else "failed",
     }
+    if failure is not None:
+        manifest["error"] = {"kind": type(failure).__name__, "message": str(failure)}
+        manifest["last_good_time"] = result.final.time
     _dump_json(manifest, out_dir / "run_manifest.json")
     meta = {"nu": cfg.nu, "seed": cfg.seed, "generator": generator}
     for step_index, field in result.snapshots:
         write_snapshot(
             out_dir / f"snapshot_{step_index:08d}.lpns", inverse_transform(field), meta
         )
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -302,11 +308,15 @@ def _read_series(path):
             if "t" not in fields or "y" not in fields:
                 raise ConfigurationError(f"{path}: CSV needs 't' and 'y' columns")
             rows = list(reader)
+        t = np.array([float(r["t"]) for r in rows])
+        y = np.array([float(r["y"]) for r in rows])
+        energy0 = float(rows[0]["E"]) if rows and "E" in rows[0] else None
     except OSError as exc:
         raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
-    t = np.array([float(r["t"]) for r in rows])
-    y = np.array([float(r["y"]) for r in rows])
-    energy0 = float(rows[0]["E"]) if rows and "E" in (rows[0] or {}) else None
+    except (ValueError, TypeError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigurationError(f"{path}: malformed CSV: {exc}") from exc
+    if energy0 is not None and not (math.isfinite(energy0) and energy0 >= 0.0):
+        raise ConfigurationError(f"{path}: E must be finite and >= 0, got {energy0}")
     return NormSeries(t, y), energy0
 
 

@@ -49,7 +49,7 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
         ) from exc
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.time))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")))
     sidecar_path(path).write_text(text)
 
 

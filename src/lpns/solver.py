@@ -10,6 +10,7 @@ flux reports too, at exponent DIAG_EXPONENT.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .flux import SYM_PAIRS, _check_viscosity, _contract_k, _evaluate, _products
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
+    _lattice,
     _physical,
     _project_coeffs,
     divergence_residual,
@@ -91,23 +93,32 @@ def _cfl_check(phys, grid, dt):
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _integrating_factors(n, nu, dt):
+    """Read-only exp(-nu |k|^2 dt) and exp(-nu |k|^2 dt / 2) on the half spectrum."""
+    k2 = _lattice(n)[3]
+    e_full = np.exp(-nu * k2 * dt)
+    e_half = np.exp(-nu * k2 * (0.5 * dt))
+    e_full.flags.writeable = e_half.flags.writeable = False
+    return e_full, e_half
+
+
 def step(u: SpectralVelocity, params: SolverParams) -> SpectralVelocity:
     """Advance one time step with the integrating-factor RK4 scheme."""
     grid = u.grid
     dt = params.dt
     phys = _physical(u.coeffs)
     _cfl_check(phys, grid, dt)
-    k2 = grid.k_squared()
-    e_full = np.exp(-params.nu * k2 * dt)
+    e_full, e_half = _integrating_factors(grid.n, params.nu, dt)
     if not params.nonlinear_enabled:
         return SpectralVelocity(grid, u.coeffs * e_full, u.time + dt)
-    e_half = np.exp(-params.nu * k2 * (0.5 * dt))
     c = u.coeffs
+    new = e_full * c
     k1 = _nonlinear_hat(c, grid, phys)
     k2_ = _nonlinear_hat(e_half * (c + 0.5 * dt * k1), grid)
     k3 = _nonlinear_hat(e_half * c + 0.5 * dt * k2_, grid)
-    k4 = _nonlinear_hat(e_full * c + dt * (e_half * k3), grid)
-    new = e_full * c + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2_ + k3) + k4)
+    k4 = _nonlinear_hat(new + dt * (e_half * k3), grid)
+    new += (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2_ + k3) + k4)
     return SpectralVelocity(grid, new, u.time + dt)
 
 
@@ -171,8 +182,9 @@ def _validate_initial(u):
 def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None = None) -> SimulationResult:
     """March the field to t_end, sampling diagnostics every diag_every steps.
 
-    A StepSizeError or DivergenceError raised during the march carries the rows
-    sampled before it as its ``rows`` attribute."""
+    A StepSizeError or DivergenceError raised during the march carries the
+    partial result as its ``result`` attribute: the rows and snapshots taken
+    before it, with ``final`` the last finite state."""
     _validate_initial(u0)
     if bank is None:
         bank = build_filter_bank(u0.grid)
@@ -186,18 +198,19 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
         snapshots.append((0, u.copy()))
     try:
         for i in range(1, n_steps + 1):
-            u = step(u, params)
-            if not np.all(np.isfinite(u.coeffs.view(np.float64))):
+            new = step(u, params)
+            if not np.all(np.isfinite(new.coeffs.view(np.float64))):
                 raise DivergenceError(
-                    f"solution diverged at t = {u.time:g}; last good time {(i - 1) * params.dt:g}",
+                    f"solution diverged at t = {new.time:g}; last good time {(i - 1) * params.dt:g}",
                     last_good_time=(i - 1) * params.dt,
                 )
+            u = new
             if i % params.diag_every == 0:
                 rows.append(_sample_row(u, bank, params.nu))
             if params.snapshot_every and i % params.snapshot_every == 0:
                 snapshots.append((i, u.copy()))
     except (StepSizeError, DivergenceError) as exc:
-        exc.rows = rows
+        exc.result = SimulationResult(params=params, rows=rows, snapshots=snapshots, final=u)
         raise
     return SimulationResult(params=params, rows=rows, snapshots=snapshots, final=u)
 

@@ -150,12 +150,16 @@ def zero_velocity(grid: GridSpec) -> SpectralVelocity:
 
 def _hat(values):
     """Half-spectrum coefficients of real values over the last three axes: rfftn / n^3."""
-    return _fft.rfftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
+    out = _fft.rfftn(values, axes=(-3, -2, -1))
+    out /= values.shape[-1] ** 3
+    return out
 
 
 def _physical(coeffs):
     """Real grid values of half-spectrum coefficients over the last three axes: irfftn * n^3."""
-    return _fft.irfftn(coeffs, axes=(-3, -2, -1)) * coeffs.shape[-2] ** 3
+    out = _fft.irfftn(coeffs, axes=(-3, -2, -1))
+    out *= coeffs.shape[-2] ** 3
+    return out
 
 
 def _lattice_sum(density):

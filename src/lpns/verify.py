@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .flux import (
+    _relative_residual,
     _shell_norm_table,
     lemma1_sides,
     nlt_split,
@@ -26,7 +27,14 @@ from .flux import (
 )
 from .lp import bernstein_ratio, build_filter_bank, partition_residual, shell_project
 from .solver import SolverParams, simulate
-from .spectral import GridSpec, SpectralVelocity, make_taylor_green, random_solenoidal_field
+from .spectral import (
+    GridSpec,
+    SpectralVelocity,
+    energy,
+    enstrophy,
+    make_taylor_green,
+    random_solenoidal_field,
+)
 
 SUITE_NAMES = ("partition", "tensor", "nlt", "lemma1", "bernstein", "riccati")
 
@@ -87,14 +95,16 @@ def nlt_suite(seed: int, n: int, n_fields: int = 5, field: SpectralVelocity | No
         ]
     results = []
     for label, u in fields:
+        e, z = energy(u), enstrophy(u)
         transfers = shell_transfers(u, bank)
         for q in bank.shells:
             part_r, part_low = nlt_split(u, bank, q)
             t = transfers[q - bank.q_min]
-            rel = abs(part_r + part_low - t) / max(abs(t), abs(part_r), abs(part_low), 1e-14)
+            scale = max(abs(t), abs(part_r), abs(part_low))
+            rel = _relative_residual(part_r + part_low - t, scale, e, z)
             results.append(CheckResult(f"nlt_identity_{label}_q{q}", rel, 1e-9, rel < 1e-9))
         flux_sum, scale = total_flux(u, bank)
-        rel = abs(flux_sum) / max(scale, 1e-14)
+        rel = _relative_residual(flux_sum, scale, e, z)
         results.append(CheckResult(f"flux_sum_{label}", rel, 1e-9, rel < 1e-9))
     return results
 

@@ -9,7 +9,7 @@ import lpns.solver
 from lpns.bounds import riccati_solve
 from lpns.cli import main, parse_config_text
 from lpns.errors import ConfigurationError, DivergenceError, StepSizeError
-from lpns.snapshots import sidecar_path, write_snapshot
+from lpns.snapshots import read_snapshot, sidecar_path, write_snapshot
 from lpns.spectral import inverse_transform, make_taylor_green, zero_velocity
 from lpns.verify import nlt_suite
 
@@ -58,6 +58,8 @@ class TestSimulateCommand:
         assert manifest["config"]["nu"] == 0.5
         assert (out / "snapshot_00000005.lpns").exists()
         assert (out / "snapshot_00000005.json").exists()
+        assert manifest["status"] == "ok"
+        assert "error" not in manifest and "last_good_time" not in manifest
 
     def test_missing_nu_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -96,7 +98,8 @@ class TestSimulateCommand:
         ids=["step-size", "divergence"],
     )
     def test_failed_run_keeps_its_rows(self, tmp_path, monkeypatch, error):
-        """A numerical failure on the third step exits 3 and leaves the rows of steps 0-2."""
+        """A numerical failure on the third step exits 3 and leaves the rows, the
+        snapshots of steps 0-2 and a manifest that records the failure."""
         real_step = lpns.solver.step
         calls = {"n": 0}
 
@@ -108,11 +111,21 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(lpns.solver, "step", failing)
         cfg = tmp_path / "run.cfg"
-        write_config(cfg, diag_every=1)
+        write_config(cfg, diag_every=1, snapshot_every=1)
         assert main(["simulate", "--config", str(cfg)]) == 3
-        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        out = tmp_path / "out"
+        lines = (out / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == EXPECTED_HEADER + ",Eq0,Eq1,Eq2,Eq3,Eq4"
         assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx([0.0, 1e-3, 2e-3])
+        snapshots = sorted(path.name for path in out.glob("snapshot_*.lpns"))
+        assert snapshots == [f"snapshot_{i:08d}.lpns" for i in range(3)]
+        for i in range(3):
+            phys, _ = read_snapshot(out / f"snapshot_{i:08d}.lpns")
+            assert phys.time == pytest.approx(i * 1e-3)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"kind": type(error).__name__, "message": str(error)}
+        assert manifest["last_good_time"] == pytest.approx(2e-3)
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -271,3 +284,17 @@ class TestBoundsCommand:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["bounds", str(tmp_path / "none.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"t,y\n0.0,abc\n", b"t,y,E\n0.0,1.0,abc\n", b"t,y\n0.0,1.0\n0.1\n", b"t,y\n0.0,\xff\n",
+         b"t,y,E\n0.0,1.0,-4.0\n0.1,2.0,1.0\n"],
+        ids=["non-numeric-y", "non-numeric-E", "short-row", "undecodable", "negative-E"],
+    )
+    def test_malformed_csv_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert main(["bounds", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err

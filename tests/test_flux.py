@@ -9,6 +9,7 @@ from lpns.flux import (
     SYM_PAIRS,
     TriSums,
     _physical,
+    _shell_l4_norms,
     _shell_norm_table,
     abc_sums,
     estimate_abc_constants,
@@ -26,8 +27,9 @@ from lpns.flux import (
     total_flux,
     transfer,
 )
-from lpns.lp import lam, shell_project
+from lpns.lp import build_filter_bank, lam, phi_profile, shell_project
 from lpns.spectral import (
+    GridSpec,
     SpectralVelocity,
     _lattice,
     energy,
@@ -37,6 +39,7 @@ from lpns.spectral import (
     zero_velocity,
 )
 from lpns.solver import SolverParams, simulate
+from lpns.verify import nlt_suite
 
 from conftest import random_solenoidal_field, single_mode_field
 
@@ -201,6 +204,43 @@ class TestNltSplit:
 
     def test_default_shift_is_two(self):
         assert LOW_PASS_SHIFT == 2
+
+
+def quadrature_l4(u, q, m):
+    """||u_q||_4 by an m-point grid quadrature, m >= n, with the shell zero-padded
+    from the n-point half spectrum and phi_q taken from ``phi_profile``."""
+    n = u.grid.n
+    kx, ky, kz = _lattice(n)[:3]
+    uq = u.coeffs * phi_profile(np.sqrt(kx**2 + ky**2 + kz**2), q)
+    padded = np.zeros((3, m, m, m // 2 + 1), dtype=np.complex128)
+    axis = np.r_[: n // 2, m - n // 2 : m]
+    padded[np.ix_(range(3), axis, axis, range(n // 2 + 1))] = uq
+    values = np.fft.irfftn(padded, s=(m, m, m), axes=(1, 2, 3)) * m**3
+    return (np.sum(np.sum(values**2, axis=0) ** 2) * (2 * np.pi / m) ** 3) ** 0.25
+
+
+class TestShellL4Norms:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_n_point_quadrature(self, n):
+        """Every shell, the top ones included, is the n-point quadrature."""
+        grid = GridSpec(n)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 5)
+        l4 = _shell_l4_norms(u, bank)
+        for i, q in enumerate(bank.shells):
+            assert l4[i] == pytest.approx(quadrature_l4(u, q, n), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_resolved_shells_match_padded_grid(self, n):
+        """Shells with 2^(q+3) <= n carry no aliasing: a 2n grid gives the same value."""
+        grid = GridSpec(n)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 6)
+        l4 = _shell_l4_norms(u, bank)
+        resolved = [q for q in bank.shells if 2 ** (q + 3) <= n]
+        assert resolved
+        for q in resolved:
+            assert l4[q - bank.q_min] == pytest.approx(quadrature_l4(u, q, 2 * n), rel=1e-14, abs=0.0)
 
 
 class TestLemma1:
@@ -375,6 +415,16 @@ class TestShellFluxReport:
         u = random_solenoidal_field(grid32, seed)
         report = shell_flux_report(u, bank32, 1.5, 0.1)
         assert report.flux_residual < 1e-9
+
+    def test_zero_transfer_field_residual_is_relative(self, grid32, bank32):
+        """Sphere modes make every transfer vanish; round-off is measured against
+        the field's own scale E sqrt(enstrophy), not an absolute floor."""
+        u = make_random_field(grid32, 1, {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.05})
+        report = shell_flux_report(u, bank32, 1.5, 0.1)
+        assert abs(report.flux_sum) < 1e-17
+        assert report.flux_residual < 1e-9
+        checks = nlt_suite(seed=0, n=32, field=u)
+        assert checks and all(c.passed for c in checks), [c for c in checks if not c.passed]
 
     def test_total_flux_nonzero_for_compressible_field(self, grid32, bank32):
         """Without solenoidality the telescoped transfer no longer cancels."""

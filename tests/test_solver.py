@@ -15,12 +15,14 @@ from lpns.lp import FilterBank
 from lpns.solver import (
     DIAG_EXPONENT,
     SolverParams,
+    _integrating_factors,
     _sample_row,
     energy_balance_residual,
     simulate,
     step,
 )
 from lpns.spectral import (
+    _lattice,
     divergence_residual,
     energy,
     make_random_field,
@@ -70,6 +72,16 @@ class TestStep:
             out = step(out, params)
         expected = u.coeffs * math.exp(-0.1)
         assert np.max(np.abs(out.coeffs - expected)) < 1e-13
+
+    def test_integrating_factors_cached_read_only(self):
+        """Both factors are computed once per (n, nu, dt), with the step's formulas."""
+        e_full, e_half = _integrating_factors(16, 0.3, 1e-3)
+        k2 = _lattice(16)[3]
+        assert np.array_equal(e_full, np.exp(-0.3 * k2 * 1e-3))
+        assert np.array_equal(e_half, np.exp(-0.3 * k2 * (0.5 * 1e-3)))
+        assert not e_full.flags.writeable and not e_half.flags.writeable
+        again = _integrating_factors(16, 0.3, 1e-3)
+        assert again[0] is e_full and again[1] is e_half
 
     def test_zero_field_fixed_point(self, grid16):
         params = SolverParams(nu=0.5, dt=1e-2, t_end=1.0)
@@ -179,6 +191,10 @@ class TestSimulate:
         with pytest.raises(DivergenceError) as err:
             simulate(single_mode_shear(grid16), params, bank16)
         assert err.value.last_good_time == pytest.approx(2e-3)
+        partial = err.value.result
+        assert [row.t for row in partial.rows] == pytest.approx([0.0, 1e-3, 2e-3])
+        assert partial.final.time == pytest.approx(2e-3)
+        assert np.all(np.isfinite(partial.final.coeffs.view(np.float64)))
 
     def test_t_end_must_be_step_multiple(self, grid16, bank16):
         params = SolverParams(nu=1.0, dt=3e-3, t_end=0.01)
