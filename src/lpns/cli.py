@@ -82,6 +82,17 @@ def _parse_fraction(text: str) -> float:
     return float(text)
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ConfigurationError(f"{key} must be true or false, got {text!r}") from None
+
+
 def _parse_spectrum(text: str) -> dict:
     spectrum = {}
     for part in text.split(","):
@@ -141,7 +152,7 @@ def load_run_config(path) -> RunConfig:
             diag_every=int(raw.get("diag_every", "1")),
             snapshot_every=int(raw.get("snapshot_every", "0")),
             dealias_fraction=_parse_fraction(raw.get("dealias", "2/3")),
-            nonlinear=raw.get("nonlinear", "true").lower() in ("true", "1", "yes", "on"),
+            nonlinear=_parse_bool("nonlinear", raw.get("nonlinear", "true")),
         )
     except ValueError as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
@@ -182,10 +193,8 @@ def _precheck_cfl(u, dt):
         )
 
 
-def _write_csv(path, rows):
-    n_shells = len(rows[0].shell_energies) if rows else 0
-    header = CSV_FIXED_COLUMNS + "," + ",".join(f"Eq{q}" for q in range(n_shells))
-    lines = [header]
+def _write_csv(path, columns, rows):
+    lines = [",".join(columns)]
     for r in rows:
         vals = (r.t, r.energy, r.enstrophy, r.h1, r.h32, r.y, r.riccati_lhs,
                 r.riccati_rhs, r.A, r.B, r.C, r.flux_sum, *r.shell_energies)
@@ -230,21 +239,18 @@ def cmd_simulate(args) -> int:
         result = simulate(u0, params, bank)
     except (StepSizeError, DivergenceError) as exc:
         result, failure = exc.result, exc
-    _write_csv(out_dir / "diagnostics.csv", result.rows)
+    columns = [*CSV_FIXED_COLUMNS.split(","), *(f"Eq{q}" for q in bank.shells)]
+    _write_csv(out_dir / "diagnostics.csv", columns, result.rows)
+    # vars, not dataclasses.asdict: the fields are plain values, and asdict's deep
+    # copy costs more than the rest of the manifest.
+    config = {**vars(cfg), "spectrum": {str(k): v for k, v in (cfg.spectrum or {}).items()}}
+    del config["out"]
     manifest = {
         "code_version": __version__,
         "psi_profile": PROFILE_ID,
         "generator": generator,
-        "config": {
-            "n": cfg.n, "nu": cfg.nu, "dt": cfg.dt, "t_end": cfg.t_end,
-            "ic": cfg.ic, "amplitude": cfg.amplitude, "seed": cfg.seed,
-            "spectrum": {str(k): v for k, v in (cfg.spectrum or {}).items()},
-            "snapshot": cfg.snapshot, "diag_every": cfg.diag_every,
-            "snapshot_every": cfg.snapshot_every, "dealias_fraction": cfg.dealias_fraction,
-            "nonlinear": cfg.nonlinear,
-        },
-        "columns": (CSV_FIXED_COLUMNS + ","
-                    + ",".join(f"Eq{q}" for q in bank.shells)).split(","),
+        "config": config,
+        "columns": columns,
         "n_steps": int(round(cfg.t_end / cfg.dt)),
         "threads": os.environ.get("LPNS_THREADS", "1"),
         "status": "ok" if failure is None else "failed",

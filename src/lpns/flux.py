@@ -9,7 +9,8 @@ d/dt ||u_q||_2^2 = -2 nu ||grad u_q||_2^2 + 2 transfer_q
 for the dealiased dynamics.
 
 Trajectory rows and flux reports share one evaluation, :func:`_evaluate`, so
-the Riccati sides, the trisums and the flux sum each have one formula.
+the Riccati sides, the trisums and the flux sum each have one formula; the
+Lemma-1 sums behind the trisums and the report rows are :func:`_lemma1_terms`.
 """
 
 from __future__ import annotations
@@ -88,19 +89,20 @@ def tensor_shell(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
 
 
 def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None) -> np.ndarray:
-    """Remainder tensor r_q(u, u) = (u o u)_q - u_q o u - u o u_q (spectral)."""
-    if q < 0:
-        raise ShellRangeError("remainder defined for shells q >= 0")
+    """Remainder tensor r_q(u, u) = (u o u)_q - u_q o u - u o u_q (spectral).
+
+    The cross terms are transformed one component at a time, so no
+    six-component physical tensor is held."""
     _check_shell(bank, q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
     mult = bank.multiplier(q)
     uq_phys = _physical(u.coeffs * mult)
-    cross = np.stack(
-        [uq_phys[i] * phys[j] + phys[i] * uq_phys[j] for i, j in SYM_PAIRS]
-    )
-    return mult * what - _hat(cross)
+    out = mult * what
+    for m, (i, j) in enumerate(SYM_PAIRS):
+        out[m] -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
+    return out
 
 
 def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
@@ -111,8 +113,6 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
     full lattice.  Independent of the multiplier rearrangement used by
     :func:`remainder` and of how the bank stores its multipliers.
     """
-    if q < 0:
-        raise ShellRangeError("remainder defined for shells q >= 0")
     _check_shell(bank, q)
     n = u.grid.n
     phys = _physical(u.coeffs)
@@ -182,8 +182,6 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     """
     _require_dealiased(u)
     _check_shell(bank, q)
-    if q < 0:
-        raise ShellRangeError("split defined for shells q >= 0")
     n = u.grid.n
     phys = _physical(u.coeffs)
     what = product_tensor_hat(u, phys)
@@ -229,24 +227,23 @@ def _shell_norm_table(u: SpectralVelocity, bank: FilterBank):
     return np.sqrt(shell_energies(u, bank)), _shell_l4_norms(u, bank)
 
 
-def lemma1_sides(u: SpectralVelocity, bank: FilterBank, q: int, *, _table=None, _transfers=None):
-    """The transfer integral and the three sums bounding it.
+def _lemma1_terms(l2, l4, lams) -> np.ndarray:
+    """The three sums bounding each shell transfer, rows (rhs1, rhs2, rhs3):
+    rhs1_q = lam_q^-1 ||u_q||_2 sum_{p<=q} lam_p^2 ||u_p||_4^2,
+    rhs2_q = lam_q ||u_q||_2 sum_{p>q} ||u_p||_4^2,
+    rhs3_q = ||u_q||_2^2 sum_{p<=q+1} lam_p^(5/2) ||u_p||_2."""
+    low4 = np.cumsum(lams**2 * l4**2)
+    high4 = np.append(np.cumsum((l4**2)[::-1])[::-1][1:], 0.0)
+    low2 = np.cumsum(lams**2.5 * l2)
+    low2 = np.append(low2[1:], low2[-1])
+    return np.array((l2 / lams * low4, lams * l2 * high4, l2**2 * low2))
 
-    Returns (lhs, rhs1, rhs2, rhs3) where lhs is the shell transfer and
-    rhs1 = lam_q^-1 ||u_q||_2 sum_{p<=q} lam_p^2 ||u_p||_4^2,
-    rhs2 = lam_q ||u_q||_2 sum_{p>q} ||u_p||_4^2,
-    rhs3 = ||u_q||_2^2 sum_{p<=q+1} lam_p^(5/2) ||u_p||_2.
-    """
-    _check_shell(bank, q)
-    l2, l4 = _shell_norm_table(u, bank) if _table is None else _table
-    transfers = shell_transfers(u, bank) if _transfers is None else _transfers
-    lams = bank.lambdas()
-    i = q - bank.q_min
-    rhs1 = l2[i] / lams[i] * float(np.sum(lams[: i + 1] ** 2 * l4[: i + 1] ** 2))
-    rhs2 = lams[i] * l2[i] * float(np.sum(l4[i + 1 :] ** 2))
-    hi = min(i + 2, bank.n_shells)
-    rhs3 = l2[i] ** 2 * float(np.sum(lams[:hi] ** 2.5 * l2[:hi]))
-    return float(transfers[i]), rhs1, rhs2, rhs3
+
+def lemma1_sides(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
+    """Rows (lhs, rhs1, rhs2, rhs3) over every shell: the transfer integral
+    and the three sums of :func:`_lemma1_terms` bounding it."""
+    l2, l4 = _shell_norm_table(u, bank)
+    return np.vstack((shell_transfers(u, bank), _lemma1_terms(l2, l4, bank.lambdas())))
 
 
 def _check_exponent_and_viscosity(s, nu):
@@ -266,20 +263,16 @@ class TriSums:
     C: float
 
 
-def abc_sums(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, _table=None) -> TriSums:
+def _trisums(s, nu, lams, terms) -> TriSums:
+    """A, B, C = sum_q lam_q^(2s) (rhs1_q, rhs2_q, rhs3_q) of a Lemma-1 table."""
+    return TriSums(s, nu, *(float(x) for x in terms @ lams ** (2 * s)))
+
+
+def abc_sums(u: SpectralVelocity, bank: FilterBank, s: float, nu: float) -> TriSums:
     """Evaluate the trisums A, B, C over all representable shells."""
     _check_exponent_and_viscosity(s, nu)
-    l2, l4 = _shell_norm_table(u, bank) if _table is None else _table
     lams = bank.lambdas()
-    low_cum = np.cumsum(lams**2 * l4**2)
-    a = float(np.sum(lams ** (2 * s - 1) * l2 * low_cum))
-    high_tail = np.cumsum((l4**2)[::-1])[::-1]
-    tail = np.append(high_tail[1:], 0.0)
-    b = float(np.sum(lams ** (2 * s + 1) * l2 * tail))
-    low_cum1 = np.cumsum(lams**2.5 * l2)
-    shifted = np.append(low_cum1[1:], low_cum1[-1])
-    c = float(np.sum(lams ** (2 * s) * l2**2 * shifted))
-    return TriSums(s, nu, a, b, c)
+    return _trisums(s, nu, lams, _lemma1_terms(*_shell_norm_table(u, bank), lams))
 
 
 def _riccati_exponent(s):
@@ -406,27 +399,24 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     energy = float(_lattice_sum(e_density))
     enstrophy = float(_lattice_sum(d_density))
     del e_density, d_density, t_density  # not held through the rows below
-    table = (np.sqrt(energies), l4)
     lams = bank.lambdas()
+    terms = _lemma1_terms(np.sqrt(energies), l4, lams)
     shell_rows = []
-    for q in bank.shells if rows else ():
-        i = q - bank.q_min
-        r_hat = remainder(u, bank, q, _phys=phys, _what=what)
-        sides = lemma1_sides(u, bank, q, _table=table, _transfers=transfers)
+    for i, q in enumerate(bank.shells if rows else ()):
         shell_rows.append(
             ShellFluxRow(
                 q=q,
                 transfer=float(transfers[i]),
                 dissipation_exact=2.0 * nu * float(dissipations[i]),
                 dissipation_surrogate=nu * lams[i] ** (2 * s + 2) * float(energies[i]),
-                remainder_l2=tensor_l2_norm(r_hat),
-                lemma1_lhs=sides[0],
-                lemma1_rhs_terms=sides[1:],
+                remainder_l2=tensor_l2_norm(remainder(u, bank, q, _phys=phys, _what=what)),
+                lemma1_lhs=float(transfers[i]),
+                lemma1_rhs_terms=tuple(terms[:, i].tolist()),
             )
         )
     return FluxReport(
         rows=tuple(shell_rows),
-        trisums=abc_sums(u, bank, s, nu, _table=table),
+        trisums=_trisums(s, nu, lams, terms),
         riccati=_riccati(s, nu, lams, energies, dissipations, transfers),
         shell_energies=tuple(float(e) for e in energies),
         flux_sum=flux_sum,

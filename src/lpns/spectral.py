@@ -307,6 +307,8 @@ def _solenoidal_noise(grid: GridSpec, seed: int) -> np.ndarray:
 
     Projection acts mode by mode, so masking the result to a set of modes
     equals projecting the masked noise."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     noise = np.random.default_rng(seed).standard_normal((3, *grid.shape))
     coeffs = _hat(noise)
     _project_coeffs(coeffs, grid)

@@ -79,9 +79,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "overrides",
         [{"nu": "nan"}, {"dt": "nan"}, {"t_end": "inf"}, {"diag_evry": 5}, {"dealias": "0/0"},
-         {"s": 7}, {"amplitude": "nan", "ic": "random", "spectrum": "0:0.1"}],
+         {"s": 7}, {"amplitude": "nan", "ic": "random", "spectrum": "0:0.1"},
+         {"seed": -1, "ic": "random", "spectrum": "0:0.1"}, {"nonlinear": "ture"}],
         ids=["nu-nan", "dt-nan", "t_end-inf", "unknown-key", "dealias-zero-division",
-             "removed-s-key", "amplitude-nan"],
+             "removed-s-key", "amplitude-nan", "negative-seed", "misspelled-nonlinear"],
     )
     def test_bad_value_or_key_exits_2(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "run.cfg"
@@ -227,6 +228,12 @@ class TestVerifyCommand:
         results = nlt_suite(seed=0, n=16, field=bad)
         flux_checks = [r for r in results if r.name.startswith("flux_sum")]
         assert flux_checks and not flux_checks[0].passed
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--suite", "nlt", "--seed", "-1", "--n", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

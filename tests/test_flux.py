@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,14 +246,14 @@ class TestShellL4Norms:
 
 class TestLemma1:
     def test_zero_field(self, grid16, bank16):
-        lhs, r1, r2, r3 = lemma1_sides(zero_velocity(grid16), bank16, 1)
+        lhs, r1, r2, r3 = lemma1_sides(zero_velocity(grid16), bank16)[:, 1]
         assert (lhs, r1, r2, r3) == (0.0, 0.0, 0.0, 0.0)
 
     def test_taylor_green_support_truncation(self, grid32, bank32):
         """Only shells 0 and 1 are populated, so the sums collapse."""
         tg = make_taylor_green(grid32, 1.0)
         l2, l4 = _shell_norm_table(tg, bank32)
-        lhs, r1, r2, r3 = lemma1_sides(tg, bank32, 1)
+        lhs, r1, r2, r3 = lemma1_sides(tg, bank32)[:, 1]
         assert r1 == pytest.approx(
             l2[1] / lam(1) * (lam(0) ** 2 * l4[0] ** 2 + lam(1) ** 2 * l4[1] ** 2),
             rel=1e-12,
@@ -266,17 +267,15 @@ class TestLemma1:
     def test_bound_holds_with_moderate_constant(self, grid32, bank32):
         worst = -math.inf
         for seed in range(10):
-            u = random_solenoidal_field(grid32, seed)
-            table = _shell_norm_table(u, bank32)
-            transfers = shell_transfers(u, bank32)
-            for q in bank32.shells:
-                lhs, r1, r2, r3 = lemma1_sides(
-                    u, bank32, q, _table=table, _transfers=transfers
-                )
-                if r1 + r2 + r3 > 0:
-                    worst = max(worst, lhs / (r1 + r2 + r3))
+            lhs, r1, r2, r3 = lemma1_sides(random_solenoidal_field(grid32, seed), bank32)
+            denom = r1 + r2 + r3
+            worst = max(worst, np.max(lhs[denom > 0] / denom[denom > 0], initial=-math.inf))
         assert math.isfinite(worst)
         assert worst < 1.0
+
+    def test_lhs_row_is_shell_transfers(self, grid32, bank32):
+        u = random_solenoidal_field(grid32, 4)
+        assert np.array_equal(lemma1_sides(u, bank32)[0], shell_transfers(u, bank32))
 
 
 def brute_force_abc(u, bank, s, nu):
@@ -456,6 +455,22 @@ class TestShellFluxReport:
         assert report.riccati.y == pytest.approx(
             sum(lam(q) ** 3 * energies[q] for q in bank32.shells), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_peak_allocation_at_most_ten_velocity_arrays(self, n):
+        """The per-shell remainders transform their cross terms one component
+        at a time, so no six-component physical tensor is held."""
+        grid = GridSpec(n)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 1)
+        shell_flux_report(u, bank, 1.5, 0.1)  # builds the cached lattice tables
+        tracemalloc.start()
+        try:
+            shell_flux_report(u, bank, 1.5, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * u.coeffs.nbytes
 
     def test_dissipation_bracketing(self, grid32, bank32):
         """Exact dissipation sits within a factor 4 of the lam_q surrogate."""

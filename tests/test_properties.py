@@ -3,7 +3,8 @@ transforms round-trip, random solenoidal fields keep their invariants, and the
 shell profiles form a partition of unity.
 
 A bad input must surface as a ConfigurationError (exit 2 with one
-``error:`` line), never as a traceback.
+``error:`` line), never as a traceback.  The trisums of any Lemma-1 table
+equal the literal double sums over shell pairs.
 """
 
 import io
@@ -18,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from lpns.cli import CONFIG_KEYS, load_run_config, main
 from lpns.errors import ConfigurationError
-from lpns.flux import EPS_FLOOR, total_flux
+from lpns.flux import EPS_FLOOR, _lemma1_terms, _trisums, total_flux
 from lpns.lp import phi_profile, psi_profile
 from lpns.snapshots import sidecar_path, write_snapshot
 from lpns.spectral import (
@@ -155,3 +156,33 @@ def test_partition_of_unity(case):
     phis = np.array([phi_profile(r, q) for q in range(top + 1)])
     assert np.all((phis >= 0.0) & (phis <= 1.0))
     assert psi_profile(r) + np.sum(phis) == pytest.approx(1.0, abs=1e-12)
+
+
+#: Shell norms: empty shells and norms over six decades.
+SHELL_NORMS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def norm_tables(draw):
+    """(||u_q||_2, ||u_q||_4) for shells 0 .. n-1, 1 <= n <= 9."""
+    n = draw(st.integers(1, 9))
+    column = st.lists(SHELL_NORMS, min_size=n, max_size=n)
+    return np.array(draw(column)), np.array(draw(column))
+
+
+@given(table=norm_tables(), s=st.floats(0.5, 2.5, exclude_min=True, exclude_max=True))
+def test_trisums_equal_double_loops(table, s):
+    """A, B, C from the Lemma-1 table against literal loops over (q, p)."""
+    l2, l4 = table
+    lams = 2.0 ** np.arange(len(l2))
+    tri = _trisums(s, 1.0, lams, _lemma1_terms(l2, l4, lams))
+    a = b = c = 0.0
+    for q in range(len(l2)):
+        for p in range(len(l2)):
+            if p <= q:
+                a += 2.0 ** (q * (2 * s - 1)) * l2[q] * 2.0 ** (2 * p) * l4[p] ** 2
+            if p > q:
+                b += 2.0 ** (q * (2 * s + 1)) * l2[q] * l4[p] ** 2
+            if p <= q + 1:
+                c += 2.0 ** (2 * s * q) * l2[q] ** 2 * 2.0 ** (2.5 * p) * l2[p]
+    assert (tri.A, tri.B, tri.C) == pytest.approx((a, b, c), rel=1e-13, abs=0.0)
