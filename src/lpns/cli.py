@@ -12,14 +12,13 @@ import csv as csv_module
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _fft
 from .bounds import BoundSpec, NormSeries, blowup_floor, eval_lower_bound, fit_rate
 from .errors import (
     ConfigurationError,
@@ -218,6 +217,7 @@ def _dump_json(obj, path=None):
 
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
+    threads = str(_fft.workers())  # before any work: a bad LPNS_THREADS is a configuration error
     if args.out:
         cfg.out = args.out
     out_dir = Path(cfg.out)
@@ -252,7 +252,7 @@ def cmd_simulate(args) -> int:
         "config": config,
         "columns": columns,
         "n_steps": int(round(cfg.t_end / cfg.dt)),
-        "threads": os.environ.get("LPNS_THREADS", "1"),
+        "threads": threads,
         "status": "ok" if failure is None else "failed",
     }
     if failure is not None:

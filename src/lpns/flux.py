@@ -70,15 +70,28 @@ def product_tensor_hat(u: SpectralVelocity, phys=None) -> np.ndarray:
     return _hat(np.stack(list(_products(_physical(u.coeffs) if phys is None else phys))))
 
 
-def _contract_k(what) -> np.ndarray:
-    """k_j T_ij for a symmetric spectral tensor T in upper-triangle storage:
-    the divergence d_j T_ij without its factor i."""
-    kx, ky, kz = _lattice(what.shape[-2])[:3]
-    out = np.empty((3, *what.shape[1:]), dtype=what.dtype)
-    out[0] = kx * what[0] + ky * what[1] + kz * what[2]
-    out[1] = kx * what[1] + ky * what[3] + kz * what[4]
-    out[2] = kx * what[2] + ky * what[4] + kz * what[5]
+def _contract_k(components, out=None) -> np.ndarray:
+    """k_j T_ij for a symmetric spectral tensor T whose upper-triangle components
+    arrive one at a time in SYM_PAIRS order: the divergence d_j T_ij without its
+    factor i.  Each row is summed as k_x T_i0 + k_y T_i1 + k_z T_i2, and no
+    component is held once the next one is taken."""
+    for (i, j), w in zip(SYM_PAIRS, components):
+        if out is None:
+            out = np.empty((3, *w.shape), dtype=w.dtype)
+        k = _lattice(out.shape[-2])[:3]
+        for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+            if b == 0:  # T_a0 is the first term of row a
+                np.multiply(k[b], w, out=out[a])
+            else:
+                np.add(out[a], k[b] * w, out=out[a])
+        del w
     return out
+
+
+def _product_hats(phys):
+    """The coefficients of each product u_i u_j, upper-triangle components,
+    transformed one at a time; ``map`` holds no product once it is transformed."""
+    return map(_hat, _products(phys))
 
 
 def tensor_shell(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
@@ -137,10 +150,11 @@ def tensor_l2_norm(tensor_hat) -> float:
 
 def _transfer_density(u: SpectralVelocity, what=None) -> np.ndarray:
     """Per-mode density whose phi_q^2-weighted lattice sum (times the box
-    volume) is the transfer integral int Tr[(u o u)_q . grad u_q] dx."""
-    if what is None:
-        what = product_tensor_hat(u)
-    v = _contract_k(what)
+    volume) is the transfer integral int Tr[(u o u)_q . grad u_q] dx.
+
+    ``what`` is the product tensor, stacked or as an iterable of its six
+    components; by default each product is transformed as it is contracted."""
+    v = _contract_k(_product_hats(_physical(u.coeffs)) if what is None else what)
     c = u.coeffs
     return (v[0] * np.conj(c[0]) + v[1] * np.conj(c[1]) + v[2] * np.conj(c[2])).imag
 
@@ -388,7 +402,8 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     rows only with ``rows``.  The caller checks s, nu and that u is dealiased."""
     l4 = _shell_l4_norms(u, bank)  # first: its transforms' peak memory meets no other array
     phys = _physical(u.coeffs)
-    what = product_tensor_hat(u, phys)
+    # Only the rows' remainders need the stacked tensor; a trajectory row streams it.
+    what = product_tensor_hat(u, phys) if rows else _product_hats(phys)
     e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     d_density = u.grid.k_squared() * e_density
     t_density = _transfer_density(u, what)

@@ -6,6 +6,12 @@ the quadratic term is evaluated pseudo-spectrally in divergence form
 tensors produced by the flux diagnostics are exactly the objects the solver
 advances.  Each trajectory row is ``flux._evaluate``, the one evaluation behind
 flux reports too, at exponent DIAG_EXPONENT.
+
+A step works in a fixed set of three velocity buffers, the workspace: one
+accumulates the RK4 combination and two take turns as stage argument and
+stage output.  ``simulate`` allocates the workspace once per run.  Inside a
+stage the six product transforms stream through one contraction, so a step
+that allocates its own workspace peaks below six velocity arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
     ShellRangeError,
     StepSizeError,
 )
-from .flux import SYM_PAIRS, _check_viscosity, _contract_k, _evaluate, _products
+from .flux import _check_viscosity, _contract_k, _evaluate, _products
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
@@ -62,16 +68,18 @@ class SolverParams:
             raise ConfigurationError("snapshot_every must be >= 0")
 
 
-def _nonlinear_hat(coeffs, grid, phys=None):
-    """-P D grad.(u o u) evaluated spectrally; D is the dealias projection."""
-    if phys is None:
-        phys = _physical(coeffs)
-    # Component by component, so only one full-lattice transform is held at a time.
-    what = np.empty((len(SYM_PAIRS), *grid.spectral_shape), dtype=np.complex128)
-    for c, product in enumerate(_products(phys)):
-        what[c] = _fft.fftn(product)[..., : grid.n // 2 + 1]
-    what /= grid.n**3
-    out = _contract_k(what)
+def _nonlinear_hat(phys, grid, out):
+    """-P D grad.(u o u) of physical velocity values, written into out; D is the
+    dealias projection.  The six products are transformed and contracted one at
+    a time, so only one full-lattice transform is held."""
+    half, scale = grid.n // 2 + 1, grid.n**3
+
+    def half_hat(product):
+        w = _fft.fftn(product)[..., :half]
+        w /= scale
+        return w
+
+    _contract_k(map(half_hat, _products(phys)), out)
     out *= -1j
     out *= grid.dealias_mask()
     _project_coeffs(out, grid)
@@ -103,8 +111,17 @@ def _integrating_factors(n, nu, dt):
     return e_full, e_half
 
 
-def step(u: SpectralVelocity, params: SolverParams) -> SpectralVelocity:
-    """Advance one time step with the integrating-factor RK4 scheme."""
+def step(u: SpectralVelocity, params: SolverParams, *, _work=None) -> SpectralVelocity:
+    """Advance one time step with the integrating-factor RK4 scheme,
+    new = e_full c + (dt/6) (e_full k1 + 2 e_half (k2 + k3) + k4).
+
+    ``_work`` holds the three velocity buffers acc, a and b, (3, 3, n, n,
+    n/2 + 1) complex: acc gathers the bracket, and a and b take turns as stage
+    argument and stage output.  ``simulate`` passes one per run and a direct
+    call allocates its own.  Each operation is the formula's ufunc on the same
+    operands, done in place; only real-by-complex products and complex sums
+    swap operands, which is exact.  e_full c is formed once for stage 4 and
+    once for the result, so the result is not held through stage 4."""
     grid = u.grid
     dt = params.dt
     phys = _physical(u.coeffs)
@@ -113,12 +130,28 @@ def step(u: SpectralVelocity, params: SolverParams) -> SpectralVelocity:
     if not params.nonlinear_enabled:
         return SpectralVelocity(grid, u.coeffs * e_full, u.time + dt)
     c = u.coeffs
+    acc, a, b = np.empty((3, *c.shape), dtype=c.dtype) if _work is None else _work
+    _nonlinear_hat(phys, grid, a)  # a = k1
+    del phys
+    np.multiply(e_full, a, out=acc)
+    np.multiply(a, 0.5 * dt, out=b)  # b = e_half (c + dt/2 k1)
+    b += c
+    b *= e_half
+    _nonlinear_hat(_physical(b), grid, a)  # a = k2
+    np.multiply(e_half, c, out=b)  # b = e_half c + dt/2 k2
+    b += (0.5 * dt) * a
+    _nonlinear_hat(_physical(b), grid, b)  # b = k3
+    a += b
+    b *= e_half  # b = e_full c + dt e_half k3
+    b *= dt
+    b += e_full * c
+    a *= 2.0 * e_half
+    acc += a  # acc = e_full k1 + 2 e_half (k2 + k3)
+    _nonlinear_hat(_physical(b), grid, a)  # a = k4
+    acc += a
+    acc *= dt / 6.0
     new = e_full * c
-    k1 = _nonlinear_hat(c, grid, phys)
-    k2_ = _nonlinear_hat(e_half * (c + 0.5 * dt * k1), grid)
-    k3 = _nonlinear_hat(e_half * c + 0.5 * dt * k2_, grid)
-    k4 = _nonlinear_hat(new + dt * (e_half * k3), grid)
-    new += (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2_ + k3) + k4)
+    new += acc
     return SpectralVelocity(grid, new, u.time + dt)
 
 
@@ -192,13 +225,14 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
     if abs(n_steps * params.dt - params.t_end) > 1e-9 * max(params.dt, params.t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
     u = u0.copy()
+    work = np.empty((3, 3, *u.grid.spectral_shape), dtype=np.complex128)
     rows = [_sample_row(u, bank, params.nu)]
     snapshots = []
     if params.snapshot_every:
         snapshots.append((0, u.copy()))
     try:
         for i in range(1, n_steps + 1):
-            new = step(u, params)
+            new = step(u, params, _work=work)
             if not np.all(np.isfinite(new.coeffs.view(np.float64))):
                 raise DivergenceError(
                     f"solution diverged at t = {new.time:g}; last good time {(i - 1) * params.dt:g}",

@@ -59,6 +59,16 @@ def _lattice(n):
 
 
 @functools.lru_cache(maxsize=16)
+def _inverse_k2(n):
+    """Read-only 1/|k|^2 on the half spectrum, 0 at k = 0: the Leray projector's divisor."""
+    k2 = _lattice(n)[3]
+    inv = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
+    np.divide(1.0, k2, out=inv, where=k2 > 0)
+    inv.flags.writeable = False
+    return inv
+
+
+@functools.lru_cache(maxsize=16)
 def _dealias_mask(n, k_max):
     kx, ky, kz = _lattice(n)[:3]
     mask = (np.abs(kx) <= k_max) & (np.abs(ky) <= k_max) & (np.abs(kz) <= k_max)
@@ -201,14 +211,13 @@ def inverse_transform(u: SpectralVelocity) -> PhysicalVelocity:
 
 def _project_coeffs(coeffs, grid):
     """Apply I - k k^T / |k|^2 to every mode of coeffs, in place."""
-    kx, ky, kz, k2, _ = _lattice(grid.n)
-    inv = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
-    np.divide(1.0, k2, out=inv, where=k2 > 0)
-    div = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
-    div *= inv
-    coeffs[0] -= kx * div
-    coeffs[1] -= ky * div
-    coeffs[2] -= kz * div
+    k = _lattice(grid.n)[:3]
+    div = k[0] * coeffs[0]
+    div += k[1] * coeffs[1]
+    div += k[2] * coeffs[2]
+    div *= _inverse_k2(grid.n)
+    for component, k_i in zip(coeffs, k):
+        component -= k_i * div
 
 
 def leray_project(u: SpectralVelocity) -> SpectralVelocity:
@@ -230,7 +239,12 @@ def zero_mean(u: SpectralVelocity) -> SpectralVelocity:
 
 
 def is_dealiased(u: SpectralVelocity) -> bool:
-    return not np.any(u.coeffs[:, ~u.grid.dealias_mask()])
+    """No coefficient with max-norm |k_i| > k_max.  The modes outside the mask are
+    the slabs |kx| > k_max, |ky| > k_max and kz > k_max, tested as views."""
+    n, k_max = u.grid.n, u.grid.k_max
+    outside = slice(k_max + 1, n - k_max)  # |k| > k_max in FFT order
+    c = u.coeffs
+    return not (np.any(c[:, outside]) or np.any(c[:, :, outside]) or np.any(c[..., k_max + 1 :]))
 
 
 def l2_norm(u: SpectralVelocity) -> float:

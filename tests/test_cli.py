@@ -61,6 +61,24 @@ class TestSimulateCommand:
         assert manifest["status"] == "ok"
         assert "error" not in manifest and "last_good_time" not in manifest
 
+    def test_manifest_records_the_parsed_thread_count(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        monkeypatch.setenv("LPNS_THREADS", "01")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["threads"] == "1"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        monkeypatch.setenv("LPNS_THREADS", value)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "LPNS_THREADS" in err and repr(value) in err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
     def test_missing_nu_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         write_config(cfg, nu=None)
@@ -104,11 +122,11 @@ class TestSimulateCommand:
         real_step = lpns.solver.step
         calls = {"n": 0}
 
-        def failing(u, params):
+        def failing(u, params, **kwargs):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise error
-            return real_step(u, params)
+            return real_step(u, params, **kwargs)
 
         monkeypatch.setattr(lpns.solver, "step", failing)
         cfg = tmp_path / "run.cfg"

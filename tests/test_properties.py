@@ -1,6 +1,7 @@
 """Property tests: generated configs and sidecars either run or fail cleanly,
 transforms round-trip, random solenoidal fields keep their invariants, and the
-shell profiles form a partition of unity.
+shell profiles form a partition of unity.  The streamed k-contraction equals
+its three written-out sums bit for bit.
 
 A bad input must surface as a ConfigurationError (exit 2 with one
 ``error:`` line), never as a traceback.  The trisums of any Lemma-1 table
@@ -19,11 +20,12 @@ from hypothesis.extra.numpy import arrays
 
 from lpns.cli import CONFIG_KEYS, load_run_config, main
 from lpns.errors import ConfigurationError
-from lpns.flux import EPS_FLOOR, _lemma1_terms, _trisums, total_flux
+from lpns.flux import EPS_FLOOR, _contract_k, _lemma1_terms, _trisums, total_flux
 from lpns.lp import phi_profile, psi_profile
 from lpns.snapshots import sidecar_path, write_snapshot
 from lpns.spectral import (
     PhysicalVelocity,
+    _lattice,
     energy,
     forward_transform,
     inverse_transform,
@@ -186,3 +188,28 @@ def test_trisums_equal_double_loops(table, s):
             if p <= q + 1:
                 c += 2.0 ** (2 * s * q) * l2[q] ** 2 * 2.0 ** (2.5 * p) * l2[p]
     assert (tri.A, tri.B, tri.C) == pytest.approx((a, b, c), rel=1e-13, abs=0.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([16, 32]),
+    scale=st.floats(1e-150, 1e150),
+    zeros=st.sets(st.integers(0, 5), max_size=6),
+)
+def test_streamed_contraction_equals_written_out_sums(seed, n, scale, zeros):
+    """_contract_k fed one component at a time, into a fresh or a dirty buffer,
+    against k_j T_ij written out as three sums, byte for byte."""
+    rng = np.random.default_rng(seed)
+    shape = (6, n, n, n // 2 + 1)
+    what = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    what[sorted(zeros)] = 0.0
+    kx, ky, kz = _lattice(n)[:3]
+    expected = np.stack([
+        kx * what[0] + ky * what[1] + kz * what[2],
+        kx * what[1] + ky * what[3] + kz * what[4],
+        kx * what[2] + ky * what[4] + kz * what[5],
+    ])
+    assert _contract_k(iter(list(what))).tobytes() == expected.tobytes()
+    dirty = np.full((3, *shape[1:]), np.nan, dtype=np.complex128)
+    assert _contract_k((w.copy() for w in what), out=dirty) is dirty
+    assert dirty.tobytes() == expected.tobytes()

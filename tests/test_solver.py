@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from lpns.errors import (
     ShellRangeError,
     StepSizeError,
 )
-from lpns.flux import shell_flux_report
-from lpns.lp import FilterBank
+from lpns import _fft
+from lpns.flux import SYM_PAIRS, shell_flux_report
+from lpns.lp import FilterBank, build_filter_bank
 from lpns.solver import (
     DIAG_EXPONENT,
     SolverParams,
@@ -22,7 +24,9 @@ from lpns.solver import (
     step,
 )
 from lpns.spectral import (
+    GridSpec,
     _lattice,
+    _physical,
     divergence_residual,
     energy,
     make_random_field,
@@ -37,6 +41,60 @@ def single_mode_shear(grid, amplitude=1.0):
     """u = (0, a sin x, 0): an exact heat-equation solution (no self-advection)."""
     u = single_mode_field(grid, (1, 0, 0), (0, -0.5j * amplitude, 0), solenoidal=False)
     return u
+
+
+def reference_nonlinear_hat(coeffs, grid):
+    """-P D grad.(u o u) as written out: the stacked six-component product
+    tensor, the three contraction sums and the Leray projection with its
+    divisor built in place."""
+    n = grid.n
+    phys = _physical(coeffs)
+    what = np.empty((6, *grid.spectral_shape), dtype=np.complex128)
+    for m, (i, j) in enumerate(SYM_PAIRS):
+        what[m] = _fft.fftn(phys[i] * phys[j])[..., : n // 2 + 1]
+    what /= n**3
+    kx, ky, kz, k2, _ = _lattice(n)
+    out = np.empty((3, *grid.spectral_shape), dtype=np.complex128)
+    out[0] = kx * what[0] + ky * what[1] + kz * what[2]
+    out[1] = kx * what[1] + ky * what[3] + kz * what[4]
+    out[2] = kx * what[2] + ky * what[4] + kz * what[5]
+    out *= -1j
+    out *= grid.dealias_mask()
+    inv = np.zeros(k2.shape)
+    np.divide(1.0, k2, out=inv, where=k2 > 0)
+    div = kx * out[0] + ky * out[1] + kz * out[2]
+    div *= inv
+    out[0] -= kx * div
+    out[1] -= ky * div
+    out[2] -= kz * div
+    return out
+
+
+def reference_step(u, params):
+    """The integrating-factor RK4 step as written out, with fresh arrays."""
+    c, dt = u.coeffs, params.dt
+    e_full, e_half = _integrating_factors(u.grid.n, params.nu, dt)
+
+    def nonlinear(x):
+        return reference_nonlinear_hat(x, u.grid)
+
+    new = e_full * c
+    k1 = nonlinear(c)
+    k2 = nonlinear(e_half * (c + 0.5 * dt * k1))
+    k3 = nonlinear(e_half * c + 0.5 * dt * k2)
+    k4 = nonlinear(new + dt * (e_half * k3))
+    new += (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return new
+
+
+def peak_allocation(call):
+    """tracemalloc peak of new allocations during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestParams:
@@ -82,6 +140,27 @@ class TestStep:
         assert not e_full.flags.writeable and not e_half.flags.writeable
         again = _integrating_factors(16, 0.3, 1e-3)
         assert again[0] is e_full and again[1] is e_half
+
+    @pytest.mark.parametrize("n,fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5)])
+    def test_equals_written_out_formula(self, n, fraction):
+        """Bit for bit, called alone and with a dirty workspace, over two steps."""
+        grid = GridSpec(n, fraction)
+        u = random_solenoidal_field(grid, n + 5, 3.0)
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
+        work = np.full((3, 3, *grid.spectral_shape), np.nan, dtype=np.complex128)
+        for _ in range(2):
+            expected = reference_step(u, params)
+            assert step(u, params).coeffs.tobytes() == expected.tobytes()
+            u = step(u, params, _work=work)
+            assert u.coeffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_peak_allocation_at_most_six_velocity_arrays(self, n):
+        """Without a workspace passed in, so the three buffers count too."""
+        u = random_solenoidal_field(GridSpec(n), 1)
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
+        step(u, params)  # fills the lattice, mask and factor caches
+        assert peak_allocation(lambda: step(u, params)) <= 6 * u.coeffs.nbytes
 
     def test_zero_field_fixed_point(self, grid16):
         params = SolverParams(nu=0.5, dt=1e-2, t_end=1.0)
@@ -179,8 +258,8 @@ class TestSimulate:
         real_step = solver_mod.step
         count = {"n": 0}
 
-        def poisoned(u, params):
-            out = real_step(u, params)
+        def poisoned(u, params, **kwargs):
+            out = real_step(u, params, **kwargs)
             count["n"] += 1
             if count["n"] == 3:
                 out.coeffs[0, 1, 0, 0] = np.nan
@@ -195,6 +274,21 @@ class TestSimulate:
         assert [row.t for row in partial.rows] == pytest.approx([0.0, 1e-3, 2e-3])
         assert partial.final.time == pytest.approx(2e-3)
         assert np.all(np.isfinite(partial.final.coeffs.view(np.float64)))
+
+    def test_one_workspace_per_run(self, grid16, bank16, monkeypatch):
+        import lpns.solver as solver_mod
+
+        real_step = solver_mod.step
+        seen = []
+
+        def recording(u, params, **kwargs):
+            seen.append(kwargs["_work"])
+            return real_step(u, params, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "step", recording)
+        simulate(make_taylor_green(grid16, 1.0), SolverParams(nu=0.1, dt=1e-3, t_end=3e-3), bank16)
+        assert len(seen) == 3 and all(work is seen[0] for work in seen)
+        assert seen[0].shape == (3, 3, *grid16.spectral_shape)
 
     def test_t_end_must_be_step_multiple(self, grid16, bank16):
         params = SolverParams(nu=1.0, dt=3e-3, t_end=0.01)
@@ -244,6 +338,15 @@ class TestDiagnosticsRow:
         assert (row.A, row.B, row.C) == (report.trisums.A, report.trisums.B, report.trisums.C)
         assert row.flux_sum == report.flux_sum
         assert row.shell_energies == report.shell_energies
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_row_peak_allocation_at_most_four_velocity_arrays(self, n):
+        """A row streams the product tensor instead of stacking it."""
+        grid = GridSpec(n)
+        u = random_solenoidal_field(grid, 1)
+        bank = build_filter_bank(grid)
+        _sample_row(u, bank, 0.1)
+        assert peak_allocation(lambda: _sample_row(u, bank, 0.1)) <= 4 * u.coeffs.nbytes
 
     def test_four_shell_sums_per_row_and_per_report(self, grid16, bank16, monkeypatch):
         calls = []

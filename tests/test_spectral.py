@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from lpns.lp import build_filter_bank, phi_profile, shell_energies
 from lpns.spectral import (
     BOX_VOLUME,
     GridSpec,
+    _inverse_k2,
     _lattice,
+    _project_coeffs,
     PhysicalVelocity,
     SpectralVelocity,
     dealias,
@@ -19,6 +22,7 @@ from lpns.spectral import (
     forward_transform,
     hermitian_residual,
     inverse_transform,
+    is_dealiased,
     l2_norm,
     leray_project,
     make_random_field,
@@ -228,7 +232,46 @@ class TestLerayProjection:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+    def test_inverse_k2_cached_read_only(self):
+        k2 = _lattice(16)[3]
+        inv = _inverse_k2(16)
+        assert inv is _inverse_k2(16) and not inv.flags.writeable
+        assert inv.dtype == np.float64 and inv[0, 0, 0] == 0.0
+        assert np.array_equal(inv[k2 > 0], 1.0 / k2[k2 > 0])
+
+    def test_projection_allocates_two_components_at_most(self, grid64):
+        """The cached divisor leaves the divergence and one product as the only
+        full-size temporaries: no float divisor and no k2 > 0 mask per call.
+        The quarter component covers numpy's casting buffers."""
+        coeffs = forward_transform(
+            PhysicalVelocity(grid64, np.random.default_rng(9).standard_normal((3, 64, 64, 64)))
+        ).coeffs
+        _project_coeffs(coeffs.copy(), grid64)
+        tracemalloc.start()
+        try:
+            _project_coeffs(coeffs, grid64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * coeffs[0].nbytes
+
+
 class TestDealias:
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    def test_is_dealiased_matches_mask_for_every_stray_mode(self, fraction):
+        """One stray coefficient at each stored mode in turn, so in each slab
+        |kx| > k_max, |ky| > k_max and kz > k_max and inside the mask, against
+        the gathered-mask reference."""
+        grid = GridSpec(16, fraction)
+        mask = grid.dealias_mask()
+        u = zero_velocity(grid)
+        assert is_dealiased(u)
+        for index in np.ndindex(mask.shape):
+            component = sum(index) % 3
+            u.coeffs[component][index] = 5e-324j
+            assert is_dealiased(u) == (not np.any(u.coeffs[:, ~mask])) == mask[index]
+            u.coeffs[component][index] = 0.0
+
     def test_cutoff_mode_zeroed(self, grid16):
         u = single_mode_field(grid16, (6, 0, 0), (0, 1.0, 0), solenoidal=False)
         out = dealias(u)
