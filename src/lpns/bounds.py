@@ -106,8 +106,9 @@ class RiccatiSolution:
 
 def riccati_solve(y0: float, coef: float) -> RiccatiSolution:
     """Closed-form blow-up solution y(t) = y0 / (1 - coef*y0*t)."""
-    if y0 <= 0 or coef <= 0:
-        raise DomainError(f"need y0 > 0 and coef > 0, got y0={y0}, coef={coef}")
+    for name, value in (("y0", y0), ("coef", coef)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     return RiccatiSolution(y0, coef)
 
 
@@ -143,8 +144,8 @@ def blowup_floor(series: NormSeries, c_emp: float) -> float:
     """
     if len(series) == 0:
         raise ShellRangeError("series is empty")
-    if c_emp <= 0:
-        raise DomainError(f"empirical constant must be positive, got {c_emp}")
+    if not (math.isfinite(c_emp) and c_emp > 0):
+        raise DomainError(f"empirical constant must be finite and positive, got {c_emp}")
     with np.errstate(divide="ignore"):
         candidates = series.t + c_emp / series.y
     return float(np.max(candidates))

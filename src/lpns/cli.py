@@ -158,6 +158,8 @@ def load_run_config(path) -> RunConfig:
     for key in ("nu", "dt", "t_end", "amplitude"):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigurationError(f"{key} must be finite, got {raw[key]}")
+    if cfg.snapshot_every < 0:
+        raise ConfigurationError(f"snapshot_every must be >= 0, got {cfg.snapshot_every}")
     if cfg.ic not in ("taylor_green", "random", "snapshot"):
         raise ConfigurationError(f"unknown initial condition {cfg.ic!r}")
     if cfg.ic == "random" and cfg.spectrum is None:
@@ -221,7 +223,10 @@ def cmd_simulate(args) -> int:
     if args.out:
         cfg.out = args.out
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output directory {out_dir}: {exc}") from exc
     grid = GridSpec(cfg.n, cfg.dealias_fraction)
     u0, generator = _initial_field(cfg, grid)
     _precheck_cfl(u0, cfg.dt)
@@ -230,13 +235,18 @@ def cmd_simulate(args) -> int:
         dt=cfg.dt,
         t_end=cfg.t_end,
         diag_every=cfg.diag_every,
-        snapshot_every=cfg.snapshot_every,
         nonlinear_enabled=cfg.nonlinear,
     )
     bank = build_filter_bank(grid)
+    meta = {"nu": cfg.nu, "seed": cfg.seed, "generator": generator}
+
+    def save_snapshot(i, u):
+        if cfg.snapshot_every and i % cfg.snapshot_every == 0:
+            write_snapshot(out_dir / f"snapshot_{i:08d}.lpns", inverse_transform(u), meta)
+
     failure = None
     try:
-        result = simulate(u0, params, bank)
+        result = simulate(u0, params, bank, save_snapshot)
     except (StepSizeError, DivergenceError) as exc:
         result, failure = exc.result, exc
     columns = [*CSV_FIXED_COLUMNS.split(","), *(f"Eq{q}" for q in bank.shells)]
@@ -259,11 +269,6 @@ def cmd_simulate(args) -> int:
         manifest["error"] = {"kind": type(failure).__name__, "message": str(failure)}
         manifest["last_good_time"] = result.final.time
     _dump_json(manifest, out_dir / "run_manifest.json")
-    meta = {"nu": cfg.nu, "seed": cfg.seed, "generator": generator}
-    for step_index, field in result.snapshots:
-        write_snapshot(
-            out_dir / f"snapshot_{step_index:08d}.lpns", inverse_transform(field), meta
-        )
     if failure is not None:
         raise failure
     return 0
@@ -273,13 +278,15 @@ def cmd_analyze(args) -> int:
     phys, meta = read_snapshot(args.snapshot)
     nu = args.nu if args.nu is not None else float(meta.get("nu", 1.0))
     u = zero_mean(dealias(forward_transform(phys)))
+    snapshot_time = phys.time
+    del phys  # the report needs only the coefficients
     bank = build_filter_bank(u.grid)
     # An overflow leaves a non-finite number in the payload, which _dump_json refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         report = shell_flux_report(u, bank, args.s, nu)
     payload = {
         "n": u.grid.n,
-        "time": phys.time,
+        "time": snapshot_time,
         "nu": nu,
         "s": args.s,
         "divergence_residual": divergence_residual(u),

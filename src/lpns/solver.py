@@ -9,9 +9,10 @@ flux reports too, at exponent DIAG_EXPONENT.
 
 A step works in a fixed set of three velocity buffers, the workspace: one
 accumulates the RK4 combination and two take turns as stage argument and
-stage output.  ``simulate`` allocates the workspace once per run.  Inside a
-stage the six product transforms stream through one contraction, so a step
-that allocates its own workspace peaks below six velocity arrays.
+stage output.  Inside a stage the six product transforms stream through one
+contraction, so a step that allocates its own workspace peaks below six
+velocity arrays.  ``simulate`` allocates the workspace once per run and holds
+one state and no snapshots: it hands each state, uncopied, to ``on_step``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class SolverParams:
     dt: float
     t_end: float
     diag_every: int = 1
-    snapshot_every: int = 0
     nonlinear_enabled: bool = True
 
     def __post_init__(self):
@@ -64,8 +64,6 @@ class SolverParams:
             raise ConfigurationError(f"end time must be finite and >= 0, got {self.t_end}")
         if self.diag_every < 1:
             raise ConfigurationError("diag_every must be a positive step count")
-        if self.snapshot_every < 0:
-            raise ConfigurationError("snapshot_every must be >= 0")
 
 
 def _nonlinear_hat(phys, grid, out):
@@ -178,7 +176,6 @@ class TrajectoryRow:
 class SimulationResult:
     params: SolverParams
     rows: list
-    snapshots: list      # (step index, SpectralVelocity)
     final: SpectralVelocity
 
 
@@ -212,24 +209,27 @@ def _validate_initial(u):
         raise InvariantViolation("initial data is not divergence-free")
 
 
-def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None = None) -> SimulationResult:
-    """March the field to t_end, sampling diagnostics every diag_every steps.
+def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None = None,
+             on_step=None) -> SimulationResult:
+    """March the field to t_end, sampling diagnostics every diag_every steps and
+    passing the initial state (i = 0) and each accepted step i, after its row,
+    to ``on_step(i, u)``.  ``u`` is not a copy, so the hook must not write to
+    it; neither ``step`` nor a row does.  ``final`` is ``u0`` when t_end = 0.
 
     A StepSizeError or DivergenceError raised during the march carries the
-    partial result as its ``result`` attribute: the rows and snapshots taken
-    before it, with ``final`` the last finite state."""
+    partial result as its ``result`` attribute: the rows taken before it, with
+    ``final`` the last finite state."""
     _validate_initial(u0)
     if bank is None:
         bank = build_filter_bank(u0.grid)
     n_steps = int(round(params.t_end / params.dt))
     if abs(n_steps * params.dt - params.t_end) > 1e-9 * max(params.dt, params.t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
-    u = u0.copy()
+    u = u0
     work = np.empty((3, 3, *u.grid.spectral_shape), dtype=np.complex128)
     rows = [_sample_row(u, bank, params.nu)]
-    snapshots = []
-    if params.snapshot_every:
-        snapshots.append((0, u.copy()))
+    if on_step is not None:
+        on_step(0, u)
     try:
         for i in range(1, n_steps + 1):
             new = step(u, params, _work=work)
@@ -241,12 +241,12 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
             u = new
             if i % params.diag_every == 0:
                 rows.append(_sample_row(u, bank, params.nu))
-            if params.snapshot_every and i % params.snapshot_every == 0:
-                snapshots.append((i, u.copy()))
+            if on_step is not None:
+                on_step(i, u)
     except (StepSizeError, DivergenceError) as exc:
-        exc.result = SimulationResult(params=params, rows=rows, snapshots=snapshots, final=u)
+        exc.result = SimulationResult(params=params, rows=rows, final=u)
         raise
-    return SimulationResult(params=params, rows=rows, snapshots=snapshots, final=u)
+    return SimulationResult(params=params, rows=rows, final=u)
 
 
 def energy_balance_residual(result: SimulationResult) -> float:

@@ -357,17 +357,20 @@ def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
             )
         if target < 0 or not math.isfinite(target):
             raise ConfigurationError(f"shell {q} energy must be finite and >= 0")
-    coeffs = np.zeros((3, *grid.spectral_shape), dtype=np.complex128)
-    if spectrum:
-        noise = _solenoidal_noise(grid, seed)
-        k2 = grid.k_squared()
-        for q in sorted(spectrum):
-            target = spectrum[q]
-            if target == 0.0:
-                continue
-            band = noise * (k2 == 4**q)
-            have = energy(SpectralVelocity(grid, band))
-            if have <= 0.0:
-                raise ConfigurationError(f"degenerate draw left shell {q} empty")
-            coeffs += band * math.sqrt(target / have)
-    return SpectralVelocity(grid, coeffs)
+    if not spectrum:
+        return zero_velocity(grid)
+    noise = _solenoidal_noise(grid, seed)
+    k2 = grid.k_squared()
+    density = np.sum(np.abs(noise) ** 2, axis=0)
+    gain = np.zeros(int(k2.max()) + 1)  # per |k|^2; 0 off the requested spheres
+    for q in sorted(spectrum):
+        target = spectrum[q]
+        if target == 0.0:
+            continue
+        have = float(_lattice_sum(density * (k2 == 4**q)))  # energy of the shell's band
+        if have <= 0.0:
+            raise ConfigurationError(f"degenerate draw left shell {q} empty")
+        gain[4**q] = math.sqrt(target / have)
+    noise *= gain[k2]
+    noise += 0.0  # -0.0 + 0.0 is +0.0: modes off the spheres are +0, as in a zero field
+    return SpectralVelocity(grid, noise)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -40,6 +42,16 @@ def bank32(grid32):
 @pytest.fixture(scope="session")
 def bank64(grid64):
     return build_filter_bank(grid64)
+
+
+def peak_allocation(call):
+    """tracemalloc peak of new allocations during call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def half_spectrum(full):
@@ -86,4 +98,5 @@ def mode_keyed_field(n, seed, kcap=10, decay=0.02):
     return dealias(u)
 
 
-__all__ = ["half_spectrum", "mode_keyed_field", "random_solenoidal_field", "single_mode_field"]
+__all__ = ["half_spectrum", "mode_keyed_field", "peak_allocation", "random_solenoidal_field",
+           "single_mode_field"]

@@ -138,6 +138,10 @@ class TestRiccatiSolve:
             riccati_solve(0.0, 1.0)
         with pytest.raises(DomainError):
             riccati_solve(1.0, -1.0)
+        for y0, coef, name in ((math.nan, 1.0, "y0"), (1.0, math.nan, "coef"),
+                               (math.inf, 1.0, "y0"), (1.0, math.inf, "coef")):
+            with pytest.raises(DomainError, match=name):
+                riccati_solve(y0, coef)
         with pytest.raises(DomainError):
             riccati_solve(1.0, 1.0)(1.0)
 
@@ -212,8 +216,9 @@ class TestBlowupFloor:
 
     def test_bad_constant(self):
         series = NormSeries(np.array([0.0]), np.array([1.0]))
-        with pytest.raises(DomainError):
-            blowup_floor(series, 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="empirical constant"):
+                blowup_floor(series, bad)
 
 
 class TestFitRate:

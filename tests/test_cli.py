@@ -98,9 +98,11 @@ class TestSimulateCommand:
         "overrides",
         [{"nu": "nan"}, {"dt": "nan"}, {"t_end": "inf"}, {"diag_evry": 5}, {"dealias": "0/0"},
          {"s": 7}, {"amplitude": "nan", "ic": "random", "spectrum": "0:0.1"},
-         {"seed": -1, "ic": "random", "spectrum": "0:0.1"}, {"nonlinear": "ture"}],
+         {"seed": -1, "ic": "random", "spectrum": "0:0.1"}, {"nonlinear": "ture"},
+         {"snapshot_every": -1}],
         ids=["nu-nan", "dt-nan", "t_end-inf", "unknown-key", "dealias-zero-division",
-             "removed-s-key", "amplitude-nan", "negative-seed", "misspelled-nonlinear"],
+             "removed-s-key", "amplitude-nan", "negative-seed", "misspelled-nonlinear",
+             "negative-snapshot-every"],
     )
     def test_bad_value_or_key_exits_2(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "run.cfg"
@@ -145,6 +147,18 @@ class TestSimulateCommand:
         assert manifest["status"] == "failed"
         assert manifest["error"] == {"kind": type(error).__name__, "message": str(error)}
         assert manifest["last_good_time"] == pytest.approx(2e-3)
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["existing-file", "path-under-a-file"])
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / under if under else blocker
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, out=str(out))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -302,6 +316,13 @@ class TestBoundsCommand:
         t0, v0 = report["envelope"]["main_h32"][0]
         floor = report["blowup_floor"]
         assert v0 == pytest.approx(2.0 / math.sqrt(floor - t0), rel=1e-12)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_empirical_constant_exits_2(self, tmp_path, capsys, value):
+        self._write_series_csv(tmp_path / "series.csv", [0.0, 0.5], [1.0, 2.0])
+        assert main(["bounds", str(tmp_path / "series.csv"), "--c-emp", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: empirical constant") and err.count("\n") == 1
 
     def test_missing_y_column_exits_2(self, tmp_path):
         (tmp_path / "bad.csv").write_text("t,z\n0.0,1.0\n")

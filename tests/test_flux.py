@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ from lpns.spectral import (
 from lpns.solver import SolverParams, simulate
 from lpns.verify import nlt_suite
 
-from conftest import random_solenoidal_field, single_mode_field
+from conftest import peak_allocation, random_solenoidal_field, single_mode_field
 
 
 def quadrature_transfer(u, bank, q):
@@ -464,13 +463,7 @@ class TestShellFluxReport:
         bank = build_filter_bank(grid)
         u = random_solenoidal_field(grid, 1)
         shell_flux_report(u, bank, 1.5, 0.1)  # builds the cached lattice tables
-        tracemalloc.start()
-        try:
-            shell_flux_report(u, bank, 1.5, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * u.coeffs.nbytes
+        assert peak_allocation(lambda: shell_flux_report(u, bank, 1.5, 0.1)) <= 10 * u.coeffs.nbytes
 
     def test_dissipation_bracketing(self, grid32, bank32):
         """Exact dissipation sits within a factor 4 of the lam_q surrogate."""

@@ -1,5 +1,6 @@
+import gc
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import random_solenoidal_field, single_mode_field
+from conftest import peak_allocation, random_solenoidal_field, single_mode_field
 
 
 def single_mode_shear(grid, amplitude=1.0):
@@ -85,16 +86,6 @@ def reference_step(u, params):
     k4 = nonlinear(new + dt * (e_half * k3))
     new += (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
     return new
-
-
-def peak_allocation(call):
-    """tracemalloc peak of new allocations during call()."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestParams:
@@ -225,11 +216,46 @@ class TestSimulate:
         assert np.array_equal(r1.final.coeffs, r2.final.coeffs)
 
     def test_divergence_free_preserved_on_snapshots(self, grid32, bank32):
-        params = SolverParams(nu=0.1, dt=1e-3, t_end=0.05, diag_every=10, snapshot_every=10)
-        res = simulate(make_taylor_green(grid32, 1.0), params, bank32)
-        assert res.snapshots
-        for _, field in res.snapshots:
+        params = SolverParams(nu=0.1, dt=1e-3, t_end=0.05, diag_every=10)
+        snapshots = []
+
+        def keep(i, u):
+            if i % 10 == 0:
+                snapshots.append(u)
+
+        simulate(make_taylor_green(grid32, 1.0), params, bank32, keep)
+        assert snapshots
+        for field in snapshots:
             assert divergence_residual(field) < 1e-10
+
+    def test_on_step_sees_every_accepted_state(self, grid16, bank16):
+        u0 = make_random_field(grid16, 3, {0: 0.2, 1: 0.1})
+        before = u0.coeffs.tobytes()
+        params = SolverParams(nu=0.2, dt=1e-3, t_end=6e-3, diag_every=2)
+        seen = []
+        res = simulate(u0, params, bank16, lambda i, u: seen.append((i, u.time, u)))
+        assert [i for i, _, _ in seen] == list(range(7))
+        assert [t for _, t, _ in seen] == [i * 1e-3 for i in range(7)]
+        assert seen[0][2] is u0 and seen[-1][2] is res.final
+        assert u0.coeffs.tobytes() == before
+
+    def test_no_state_outlives_the_hook(self, grid16, bank16):
+        """Only the caller's u0 and result.final stay alive: the march copies no state."""
+        u0 = make_random_field(grid16, 3, {0: 0.2, 1: 0.1})
+        refs = []
+        res = simulate(u0, SolverParams(nu=0.2, dt=1e-3, t_end=6e-3), bank16,
+                       lambda i, u: refs.append(weakref.ref(u)))
+        gc.collect()
+        assert len(refs) == 7
+        assert refs[0]() is u0 and refs[-1]() is res.final
+        assert all(ref() is None for ref in refs[1:-1])
+
+    def test_zero_end_time_returns_u0(self, grid16, bank16):
+        u0 = make_random_field(grid16, 3, {0: 0.2})
+        seen = []
+        res = simulate(u0, SolverParams(nu=0.2, dt=1e-3, t_end=0.0), bank16,
+                       lambda i, u: seen.append(i))
+        assert res.final is u0 and seen == [0] and len(res.rows) == 1
 
     def test_rejects_aliased_initial_data(self, grid16, bank16):
         u = single_mode_field(grid16, (7, 0, 0), (0, 1.0, 0))
@@ -274,6 +300,26 @@ class TestSimulate:
         assert [row.t for row in partial.rows] == pytest.approx([0.0, 1e-3, 2e-3])
         assert partial.final.time == pytest.approx(2e-3)
         assert np.all(np.isfinite(partial.final.coeffs.view(np.float64)))
+
+    def test_on_step_stops_at_the_last_accepted_step(self, grid16, bank16, monkeypatch):
+        import lpns.solver as solver_mod
+
+        real_step = solver_mod.step
+        count = {"n": 0}
+
+        def failing(u, params, **kwargs):
+            count["n"] += 1
+            if count["n"] == 3:
+                raise StepSizeError("dt violates the CFL bound", admissible_dt=1e-4)
+            return real_step(u, params, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "step", failing)
+        seen = []
+        with pytest.raises(StepSizeError) as err:
+            simulate(single_mode_shear(grid16), SolverParams(nu=1.0, dt=1e-3, t_end=0.01),
+                     bank16, lambda i, u: seen.append((i, u)))
+        assert [i for i, _ in seen] == [0, 1, 2]
+        assert err.value.result.final is seen[-1][1]
 
     def test_one_workspace_per_run(self, grid16, bank16, monkeypatch):
         import lpns.solver as solver_mod

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import half_spectrum, random_solenoidal_field, single_mode_field
+from conftest import half_spectrum, peak_allocation, random_solenoidal_field, single_mode_field
 
 
 class TestGridSpec:
@@ -247,13 +246,7 @@ class TestLerayProjection:
             PhysicalVelocity(grid64, np.random.default_rng(9).standard_normal((3, 64, 64, 64)))
         ).coeffs
         _project_coeffs(coeffs.copy(), grid64)
-        tracemalloc.start()
-        try:
-            _project_coeffs(coeffs, grid64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * coeffs[0].nbytes
+        assert peak_allocation(lambda: _project_coeffs(coeffs, grid64)) <= 2.25 * coeffs[0].nbytes
 
 
 class TestDealias:
@@ -343,8 +336,28 @@ class TestRandomField:
             assert shells[q] == pytest.approx(e, rel=1e-10)
         assert shells[2] < 1e-28
 
-    def test_empty_spectrum(self, grid16):
+    def test_empty_spectrum(self, grid16, monkeypatch):
+        import lpns.spectral
+
+        def no_draw(grid, seed):
+            raise AssertionError("an empty spectrum must not draw noise")
+
+        monkeypatch.setattr(lpns.spectral, "_solenoidal_noise", no_draw)
         assert not np.any(make_random_field(grid16, 0, {}).coeffs)
+
+    def test_modes_off_the_spheres_are_positive_zero(self, grid32):
+        parts = make_random_field(grid32, 5, {0: 0.0, 1: 0.3}).coeffs.view(np.float64)
+        assert not np.any(np.signbit(parts[parts == 0.0]))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_peak_allocation_at_most_three_velocity_arrays(self, n):
+        """One draw, one shell-independent density and in-place scaling: no
+        per-shell band copy."""
+        grid = GridSpec(n)
+        spectrum = {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.05}
+        u = make_random_field(grid, 1, spectrum)  # fills the lattice caches
+        peak = peak_allocation(lambda: make_random_field(grid, 1, spectrum))
+        assert peak <= 3 * u.coeffs.nbytes
 
     def test_deterministic(self, grid32):
         a = make_random_field(grid32, 7, {1: 1.0, 2: 0.5})
