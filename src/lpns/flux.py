@@ -11,6 +11,8 @@ for the dealiased dynamics.
 Trajectory rows and flux reports share one evaluation, :func:`_evaluate`, so
 the Riccati sides, the trisums and the flux sum each have one formula; the
 Lemma-1 sums behind the trisums and the report rows are :func:`_lemma1_terms`.
+One shell-field generator, :func:`_shell_fields`, builds the grid values of
+each u_q once; the L4 norms and the report's remainders both read them.
 """
 
 from __future__ import annotations
@@ -101,17 +103,21 @@ def tensor_shell(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
     return bank.multiplier(q) * product_tensor_hat(u)
 
 
-def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None) -> np.ndarray:
+def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None,
+              _uq_phys=None) -> np.ndarray:
     """Remainder tensor r_q(u, u) = (u o u)_q - u_q o u - u o u_q (spectral).
 
-    The cross terms are transformed one component at a time, so no
-    six-component physical tensor is held."""
+    ``_phys``, ``_what`` and ``_uq_phys`` are the caller's grid values of u, the
+    coefficients of its product tensor and the n-point grid values of u_q (any
+    sequence of three components); each is read, never written, and computed
+    here when not given.  The cross terms are transformed one component at a
+    time, so no six-component physical tensor is held."""
     _check_shell(bank, q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
     mult = bank.multiplier(q)
-    uq_phys = _physical(u.coeffs * mult)
+    uq_phys = _physical(u.coeffs * mult) if _uq_phys is None else _uq_phys
     out = mult * what
     for m, (i, j) in enumerate(SYM_PAIRS):
         out[m] -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
@@ -144,8 +150,10 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
 
 
 def tensor_l2_norm(tensor_hat) -> float:
-    """Frobenius L2 norm of a symmetric spectral tensor field."""
-    return math.sqrt(float(np.sum(SYM_WEIGHTS * _lattice_sum(np.abs(tensor_hat) ** 2))))
+    """Frobenius L2 norm of a symmetric spectral tensor field, summed one
+    upper-triangle component at a time."""
+    sums = np.array([_lattice_sum(np.abs(c) ** 2) for c in tensor_hat])
+    return math.sqrt(float(np.sum(SYM_WEIGHTS * sums)))
 
 
 def _transfer_density(u: SpectralVelocity, what=None) -> np.ndarray:
@@ -215,24 +223,58 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     return integral_r, integral_low
 
 
-def _shell_l4_norms(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
-    """||u_q||_4 for every shell: the n-point quadrature of |u_q|^4, taken on M points.
+def _shell_cut(c, m, filt):
+    """One component's half spectrum cut to the M-point cube, k in [-M/2, M/2)
+    in FFT order, and multiplied by ``filt`` in place."""
+    n, h = c.shape[0], m // 2
+    cut = np.empty((m, m, h + 1), dtype=c.dtype)
+    cut[:h, :h] = c[:h, :h, : h + 1]
+    cut[:h, h:] = c[:h, n - h :, : h + 1]
+    cut[h:, :h] = c[n - h :, :h, : h + 1]
+    cut[h:, h:] = c[n - h :, n - h :, : h + 1]
+    cut *= filt
+    return cut
 
-    phi_q vanishes for |k| >= 2^(q+1), so |u_q|^4 has no wavevector component
-    above 2^(q+3) - 4, and on the grid of M = min(n, 2^(q+3)) points the sum
-    equals the n-point one.  Shells with 2^(q+3) <= n are exact; the top shells
-    are the aliased n-point value, 1e-4 to 3e-3 from a zero-padded 2n grid on
-    white noise at n = 16 to 64 (exact values need the 3/2 rule, Orszag 1971).
+
+def _shell_fields(u: SpectralVelocity, bank: FilterBank):
+    """Yield (q, M, values) for every shell: the grid values of u_q on
+    M = min(n, 2^(q+3)) points, a list of three (M, M, M) components.
+
+    phi_q vanishes for |k| >= 2^(q+1), so the M-point cube holds every mode of
+    u_q, |u_q|^4 has no wavevector component above 2^(q+3) - 4, and on M points
+    the grid sum of |u_q|^4 equals the n-point one.  Shells with 2^(q+3) <= n
+    are exact; the top shells are the aliased n-point value, 1e-4 to 3e-3 from
+    a zero-padded 2n grid on white noise at n = 16 to 64 (exact values need the
+    3/2 rule, Orszag 1971).
+
+    Each component is cut, filtered and transformed on its own.  The generator
+    holds no shell's values once it resumes, so a caller that drops its own
+    reference before asking for the next shell holds one shell at a time.
     """
     n = u.grid.n
-    out = np.empty(bank.n_shells)
     for i, q in enumerate(bank.shells):
         m = min(n, 2 ** (q + 3))
-        axis = np.r_[: m // 2, n - m // 2 : n]  # k in [-m/2, m/2), in FFT order
-        shell = u.coeffs[np.ix_(range(3), axis, axis, range(m // 2 + 1))]
-        shell *= bank.phi[i][_lattice(m)[3]]
-        mag2 = np.sum(_physical(shell) ** 2, axis=0)
-        out[i] = (float(np.sum(mag2**2)) * (BOX_LENGTH / m) ** 3) ** 0.25
+        filt = bank.phi[i][_lattice(m)[3]]
+        values = [_physical(_shell_cut(c, m, filt)) for c in u.coeffs]
+        del filt
+        yield q, m, values
+        del values
+
+
+def _l4_norm(values, m) -> float:
+    """||f||_4 by the M-point grid quadrature of a field's component values."""
+    mag2 = values[0] ** 2
+    mag2 += values[1] ** 2
+    mag2 += values[2] ** 2
+    return (float(np.sum(mag2**2)) * (BOX_LENGTH / m) ** 3) ** 0.25
+
+
+def _shell_l4_norms(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
+    """||u_q||_4 for every shell, on the grids of :func:`_shell_fields`."""
+    out = np.empty(bank.n_shells)
+    for q, m, values in _shell_fields(u, bank):
+        out[q - bank.q_min] = _l4_norm(values, m)
+        del values  # before the next shell is cut
     return out
 
 
@@ -399,8 +441,12 @@ class FluxReport:
 
 def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, rows=False) -> FluxReport:
     """Shell diagnostics of one field, each shell sum and the L2/L4 table once; per-shell
-    rows only with ``rows``.  The caller checks s, nu and that u is dealiased."""
-    l4 = _shell_l4_norms(u, bank)  # first: its transforms' peak memory meets no other array
+    rows only with ``rows``.  The caller checks s, nu and that u is dealiased.
+
+    A trajectory row takes the L4 norms first, so their transforms meet no other
+    array.  A report takes them in its one pass over :func:`_shell_fields`, which
+    also gives each remainder its u_q where the shell grid is the n-point one."""
+    l4 = np.empty(bank.n_shells) if rows else _shell_l4_norms(u, bank)
     phys = _physical(u.coeffs)
     # Only the rows' remainders need the stacked tensor; a trajectory row streams it.
     what = product_tensor_hat(u, phys) if rows else _product_hats(phys)
@@ -414,6 +460,12 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     energy = float(_lattice_sum(e_density))
     enstrophy = float(_lattice_sum(d_density))
     del e_density, d_density, t_density  # not held through the rows below
+    remainder_l2 = []
+    for q, m, values in _shell_fields(u, bank) if rows else ():
+        l4[q - bank.q_min] = _l4_norm(values, m)
+        uq_phys = values if m == u.grid.n else None
+        remainder_l2.append(tensor_l2_norm(remainder(u, bank, q, _phys=phys, _what=what, _uq_phys=uq_phys)))
+        del values, uq_phys  # before the next shell is cut
     lams = bank.lambdas()
     terms = _lemma1_terms(np.sqrt(energies), l4, lams)
     shell_rows = []
@@ -424,7 +476,7 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
                 transfer=float(transfers[i]),
                 dissipation_exact=2.0 * nu * float(dissipations[i]),
                 dissipation_surrogate=nu * lams[i] ** (2 * s + 2) * float(energies[i]),
-                remainder_l2=tensor_l2_norm(remainder(u, bank, q, _phys=phys, _what=what)),
+                remainder_l2=remainder_l2[i],
                 lemma1_lhs=float(transfers[i]),
                 lemma1_rhs_terms=tuple(terms[:, i].tolist()),
             )

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from lpns import _fft
 from lpns.lp import build_filter_bank
 from lpns.spectral import GridSpec, SpectralVelocity, dealias, leray_project
 from lpns.verify import random_solenoidal_field
@@ -54,6 +56,31 @@ def peak_allocation(call):
         tracemalloc.stop()
 
 
+def count_transforms(call):
+    """Transforms made by call(), counted as the benchmark tracer counts them: each
+    call into ``lpns._fft`` adds its batch, the product of the axes it does not
+    transform."""
+    count = 0
+    originals = {name: getattr(_fft, name) for name in ("fftn", "ifftn", "rfftn", "irfftn")}
+
+    def counting(fn):
+        def wrapper(a, axes=(-3, -2, -1)):
+            nonlocal count
+            transformed = {ax % a.ndim for ax in axes}
+            count += math.prod(a.shape[d] for d in range(a.ndim) if d not in transformed)
+            return fn(a, axes=axes)
+        return wrapper
+
+    try:
+        for name, fn in originals.items():
+            setattr(_fft, name, counting(fn))
+        call()
+    finally:
+        for name, fn in originals.items():
+            setattr(_fft, name, fn)
+    return count
+
+
 def half_spectrum(full):
     """The stored half 0 <= kz <= n/2 of full-lattice coefficients (..., n, n, n)."""
     return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
@@ -98,5 +125,5 @@ def mode_keyed_field(n, seed, kcap=10, decay=0.02):
     return dealias(u)
 
 
-__all__ = ["half_spectrum", "mode_keyed_field", "peak_allocation", "random_solenoidal_field",
-           "single_mode_field"]
+__all__ = ["count_transforms", "half_spectrum", "mode_keyed_field", "peak_allocation",
+           "random_solenoidal_field", "single_mode_field"]

@@ -9,6 +9,7 @@ from lpns.flux import (
     SYM_PAIRS,
     TriSums,
     _physical,
+    _shell_fields,
     _shell_l4_norms,
     _shell_norm_table,
     abc_sums,
@@ -41,7 +42,7 @@ from lpns.spectral import (
 from lpns.solver import SolverParams, simulate
 from lpns.verify import nlt_suite
 
-from conftest import peak_allocation, random_solenoidal_field, single_mode_field
+from conftest import count_transforms, peak_allocation, random_solenoidal_field, single_mode_field
 
 
 def quadrature_transfer(u, bank, q):
@@ -120,6 +121,22 @@ class TestRemainder:
         slow = remainder_direct(tg, bank16, q)
         scale = max(tensor_l2_norm(slow), 1e-14)
         assert tensor_l2_norm(fast - slow) / scale < 1e-8
+
+    @pytest.mark.parametrize("field", ["white-noise", "taylor-green"])
+    def test_given_shell_values_change_no_bit(self, grid32, bank32, field):
+        """On the shells whose grid is the n-point one, the generator's u_q
+        values give the remainder's bytes, and are left as they were."""
+        u = random_solenoidal_field(grid32, 4) if field == "white-noise" else make_taylor_green(grid32, 1.0)
+        shells = 0
+        for q, m, values in _shell_fields(u, bank32):
+            if m < grid32.n:
+                continue
+            shells += 1
+            kept = [v.copy() for v in values]
+            given = remainder(u, bank32, q, _uq_phys=values)
+            assert given.tobytes() == remainder(u, bank32, q).tobytes()
+            assert all(v.tobytes() == k.tobytes() for v, k in zip(values, kept))
+        assert shells == 4
 
     def test_against_direct_kernel_random(self, grid16, bank16):
         u = random_solenoidal_field(grid16, 9)
@@ -241,6 +258,32 @@ class TestShellL4Norms:
         assert resolved
         for q in resolved:
             assert l4[q - bank.q_min] == pytest.approx(quadrature_l4(u, q, 2 * n), rel=1e-14, abs=0.0)
+
+
+def gathered_shell_values(u, bank, q):
+    """u_q on M = min(n, 2^(q+3)) points by one np.ix_ gather of all three
+    components, filtered and transformed together."""
+    n = u.grid.n
+    m = min(n, 2 ** (q + 3))
+    axis = np.r_[: m // 2, n - m // 2 : n]
+    shell = u.coeffs[np.ix_(range(3), axis, axis, range(m // 2 + 1))]
+    shell *= bank.phi[q - bank.q_min][_lattice(m)[3]]
+    return _physical(shell)
+
+
+class TestShellFields:
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_equal_to_a_batched_gather_bit_for_bit(self, n, fraction):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 8)
+        seen = []
+        for q, m, values in _shell_fields(u, bank):
+            seen.append(q)
+            assert m == min(n, 2 ** (q + 3))
+            assert np.stack(values).tobytes() == gathered_shell_values(u, bank, q).tobytes()
+        assert seen == list(bank.shells)
 
 
 class TestLemma1:
@@ -464,6 +507,25 @@ class TestShellFluxReport:
         u = random_solenoidal_field(grid, 1)
         shell_flux_report(u, bank, 1.5, 0.1)  # builds the cached lattice tables
         assert peak_allocation(lambda: shell_flux_report(u, bank, 1.5, 0.1)) <= 10 * u.coeffs.nbytes
+
+    @pytest.mark.parametrize("field", ["white-noise", "taylor-green"])
+    def test_row_remainders_equal_standalone_bit_for_bit(self, grid32, bank32, field):
+        u = random_solenoidal_field(grid32, 9) if field == "white-noise" else make_taylor_green(grid32, 1.0)
+        report = shell_flux_report(u, bank32, 1.5, 0.1)
+        for row in report.rows:
+            assert row.remainder_l2 == tensor_l2_norm(remainder(u, bank32, row.q))
+
+    @pytest.mark.parametrize("n, fraction, expected", [(16, 2.0 / 3.0, 57), (32, 2.0 / 3.0, 69),
+                                                       (32, 0.5, 60)])
+    def test_transforms_per_report(self, n, fraction, expected):
+        """9 for the product tensor, 3 per shell field, 6 per remainder, and 3
+        more per shell whose grid is coarser than the n-point one."""
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        coarse = sum(1 for q in bank.shells if 2 ** (q + 3) < n)
+        assert expected == 9 + 9 * bank.n_shells + 3 * coarse
+        u = random_solenoidal_field(grid, 1)
+        assert count_transforms(lambda: shell_flux_report(u, bank, 1.5, 0.1)) == expected
 
     def test_dissipation_bracketing(self, grid32, bank32):
         """Exact dissipation sits within a factor 4 of the lam_q surrogate."""

@@ -1,7 +1,8 @@
 """Property tests: generated configs and sidecars either run or fail cleanly,
 transforms round-trip, random solenoidal fields keep their invariants, and the
 shell profiles form a partition of unity.  The streamed k-contraction equals
-its three written-out sums bit for bit.
+its three written-out sums bit for bit, and so does the per-component tensor
+L2 norm its stacked formula.
 
 A bad input must surface as a ConfigurationError (exit 2 with one
 ``error:`` line), never as a traceback.  The trisums of any Lemma-1 table
@@ -10,6 +11,7 @@ equal the literal double sums over shell pairs.
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -20,12 +22,21 @@ from hypothesis.extra.numpy import arrays
 
 from lpns.cli import CONFIG_KEYS, load_run_config, main
 from lpns.errors import ConfigurationError
-from lpns.flux import EPS_FLOOR, _contract_k, _lemma1_terms, _trisums, total_flux
+from lpns.flux import (
+    EPS_FLOOR,
+    SYM_WEIGHTS,
+    _contract_k,
+    _lemma1_terms,
+    _trisums,
+    tensor_l2_norm,
+    total_flux,
+)
 from lpns.lp import phi_profile, psi_profile
 from lpns.snapshots import sidecar_path, write_snapshot
 from lpns.spectral import (
     PhysicalVelocity,
     _lattice,
+    _lattice_sum,
     energy,
     forward_transform,
     inverse_transform,
@@ -213,3 +224,20 @@ def test_streamed_contraction_equals_written_out_sums(seed, n, scale, zeros):
     dirty = np.full((3, *shape[1:]), np.nan, dtype=np.complex128)
     assert _contract_k((w.copy() for w in what), out=dirty) is dirty
     assert dirty.tobytes() == expected.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([16, 32]),
+    scale=st.floats(1e-150, 1e150),
+    zeros=st.sets(st.integers(0, 5), max_size=6),
+)
+def test_tensor_l2_norm_equals_the_stacked_formula(seed, n, scale, zeros):
+    """tensor_l2_norm sums one component at a time; the six-component stacked
+    formula gives the same bytes."""
+    rng = np.random.default_rng(seed)
+    shape = (6, n, n, n // 2 + 1)
+    tensor = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tensor[sorted(zeros)] = 0.0
+    stacked = math.sqrt(float(np.sum(SYM_WEIGHTS * _lattice_sum(np.abs(tensor) ** 2))))
+    assert np.float64(tensor_l2_norm(tensor)).tobytes() == np.float64(stacked).tobytes()

@@ -35,7 +35,7 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import peak_allocation, random_solenoidal_field, single_mode_field
+from conftest import count_transforms, peak_allocation, random_solenoidal_field, single_mode_field
 
 
 def single_mode_shear(grid, amplitude=1.0):
@@ -393,6 +393,11 @@ class TestDiagnosticsRow:
         bank = build_filter_bank(grid)
         _sample_row(u, bank, 0.1)
         assert peak_allocation(lambda: _sample_row(u, bank, 0.1)) <= 4 * u.coeffs.nbytes
+
+    def test_transforms_per_row(self, grid32, bank32):
+        """9 for the product tensor and 3 per shell field, as the cost model pins."""
+        u = random_solenoidal_field(grid32, 2)
+        assert count_transforms(lambda: _sample_row(u, bank32, 0.1)) == 9 + 3 * bank32.n_shells == 27
 
     def test_four_shell_sums_per_row_and_per_report(self, grid16, bank16, monkeypatch):
         calls = []
