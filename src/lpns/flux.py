@@ -25,7 +25,8 @@ import numpy as np
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError, UndefinedRatioError
 from .lp import FilterBank, phi_profile, shell_energies, truncate_low
-from .spectral import BOX_LENGTH, SpectralVelocity, _hat, _lattice, _lattice_sum, _physical, is_dealiased
+from .spectral import (BOX_LENGTH, SpectralVelocity, _cut, _hat, _lattice, _lattice_sum, _physical,
+                       is_dealiased)
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
 #: in full double contractions.
@@ -72,15 +73,15 @@ def product_tensor_hat(u: SpectralVelocity, phys=None) -> np.ndarray:
     return _hat(np.stack(list(_products(_physical(u.coeffs) if phys is None else phys))))
 
 
-def _contract_k(components, out=None) -> np.ndarray:
+def _contract_k(components, k, out=None) -> np.ndarray:
     """k_j T_ij for a symmetric spectral tensor T whose upper-triangle components
     arrive one at a time in SYM_PAIRS order: the divergence d_j T_ij without its
-    factor i.  Each row is summed as k_x T_i0 + k_y T_i1 + k_z T_i2, and no
-    component is held once the next one is taken."""
+    factor i.  k holds the three lattice axes the components live on.  Each row
+    is summed as k_x T_i0 + k_y T_i1 + k_z T_i2, and no component is held once
+    the next one is taken."""
     for (i, j), w in zip(SYM_PAIRS, components):
         if out is None:
             out = np.empty((3, *w.shape), dtype=w.dtype)
-        k = _lattice(out.shape[-2])[:3]
         for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
             if b == 0:  # T_a0 is the first term of row a
                 np.multiply(k[b], w, out=out[a])
@@ -162,7 +163,8 @@ def _transfer_density(u: SpectralVelocity, what=None) -> np.ndarray:
 
     ``what`` is the product tensor, stacked or as an iterable of its six
     components; by default each product is transformed as it is contracted."""
-    v = _contract_k(_product_hats(_physical(u.coeffs)) if what is None else what)
+    v = _contract_k(_product_hats(_physical(u.coeffs)) if what is None else what,
+                    _lattice(u.grid.n)[:3])
     c = u.coeffs
     return (v[0] * np.conj(c[0]) + v[1] * np.conj(c[1]) + v[2] * np.conj(c[2])).imag
 
@@ -226,12 +228,8 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
 def _shell_cut(c, m, filt):
     """One component's half spectrum cut to the M-point cube, k in [-M/2, M/2)
     in FFT order, and multiplied by ``filt`` in place."""
-    n, h = c.shape[0], m // 2
-    cut = np.empty((m, m, h + 1), dtype=c.dtype)
-    cut[:h, :h] = c[:h, :h, : h + 1]
-    cut[:h, h:] = c[:h, n - h :, : h + 1]
-    cut[h:, :h] = c[n - h :, :h, : h + 1]
-    cut[h:, h:] = c[n - h :, n - h :, : h + 1]
+    h = m // 2
+    cut = _cut(c, (h, h, h + 1))
     cut *= filt
     return cut
 
@@ -261,11 +259,17 @@ def _shell_fields(u: SpectralVelocity, bank: FilterBank):
         del values
 
 
-def _l4_norm(values, m) -> float:
-    """||f||_4 by the M-point grid quadrature of a field's component values."""
+def _squared_magnitude(values):
+    """|f|^2 of three component values, summed in place as np.sum(values**2, axis=0) sums."""
     mag2 = values[0] ** 2
     mag2 += values[1] ** 2
     mag2 += values[2] ** 2
+    return mag2
+
+
+def _l4_norm(values, m) -> float:
+    """||f||_4 by the M-point grid quadrature of a field's component values."""
+    mag2 = _squared_magnitude(values)
     return (float(np.sum(mag2**2)) * (BOX_LENGTH / m) ** 3) ** 0.25
 
 

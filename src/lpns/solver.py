@@ -7,12 +7,16 @@ tensors produced by the flux diagnostics are exactly the objects the solver
 advances.  Each trajectory row is ``flux._evaluate``, the one evaluation behind
 flux reports too, at exponent DIAG_EXPONENT.
 
-A step works in a fixed set of three velocity buffers, the workspace: one
-accumulates the RK4 combination and two take turns as stage argument and
-stage output.  Inside a stage the six product transforms stream through one
-contraction, so a step that allocates its own workspace peaks below six
-velocity arrays.  ``simulate`` allocates the workspace once per run and holds
-one state and no snapshots: it hands each state, uncopied, to ``on_step``.
+A dealiased state is zero outside the retained block |k_i| <= k_max (30 % of
+the half spectrum at the 2/3 rule), so a step cuts each product transform to
+that block and does the contraction, projection and RK4 combination there.
+Its workspace is one allocation: three block buffers, which accumulate the
+combination and take turns as stage argument and output, and a half-spectrum
+staging buffer, zero outside the block, that carries each stage argument to
+its inverse transform; about 1.9 velocity arrays in all.  A step that
+allocates its own workspace peaks below 4.5 velocity arrays.  ``simulate``
+allocates the workspace once per run and holds one state and no snapshots:
+it hands each state, uncopied, to ``on_step``.
 """
 
 from __future__ import annotations
@@ -31,11 +35,14 @@ from .errors import (
     ShellRangeError,
     StepSizeError,
 )
-from .flux import _check_viscosity, _contract_k, _evaluate, _products
+from .flux import _check_viscosity, _contract_k, _evaluate, _products, _squared_magnitude
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
+    _cut,
+    _dealias_block,
     _lattice,
+    _paste,
     _physical,
     _project_coeffs,
     divergence_residual,
@@ -67,26 +74,27 @@ class SolverParams:
 
 
 def _nonlinear_hat(phys, grid, out):
-    """-P D grad.(u o u) of physical velocity values, written into out; D is the
-    dealias projection.  The six products are transformed and contracted one at
-    a time, so only one full-lattice transform is held."""
-    half, scale = grid.n // 2 + 1, grid.n**3
+    """-P D grad.(u o u) of physical velocity values on the retained block, which
+    is the dealias projection D, written into out.  The six products are
+    transformed, cut to the block and contracted one at a time, so only one
+    full-lattice transform is held."""
+    extent, k, inv_k2 = _dealias_block(grid.n, grid.k_max)
+    scale = grid.n**3
 
-    def half_hat(product):
-        w = _fft.fftn(product)[..., :half]
+    def block_hat(product):
+        w = _cut(_fft.fftn(product), extent)
         w /= scale
         return w
 
-    _contract_k(map(half_hat, _products(phys)), out)
-    out *= -1j
-    out *= grid.dealias_mask()
-    _project_coeffs(out, grid)
+    _contract_k(map(block_hat, _products(phys)), k, out)
+    out *= complex(0.0, -1.0)  # exactly -i: -1j is complex(-0.0, -1.0), whose -0 flips zeros
+    _project_coeffs(out, k, inv_k2)
     return out
 
 
 def admissible_dt(phys, grid) -> float:
     """Largest CFL-admissible step for physical velocity values; inf at rest."""
-    vmax = math.sqrt(float(np.max(np.sum(phys**2, axis=0))))
+    vmax = math.sqrt(float(np.max(_squared_magnitude(phys))))
     return CFL_CONSTANT * grid.dx / vmax if vmax > 0.0 else math.inf
 
 
@@ -109,48 +117,72 @@ def _integrating_factors(n, nu, dt):
     return e_full, e_half
 
 
+@functools.lru_cache(maxsize=4)
+def _block_factors(n, k_max, nu, dt):
+    """Read-only ``_integrating_factors`` cut to the retained block."""
+    e_full, e_half = (_cut(e, _dealias_block(n, k_max)[0]) for e in _integrating_factors(n, nu, dt))
+    e_full.flags.writeable = e_half.flags.writeable = False
+    return e_full, e_half
+
+
+def _workspace(grid):
+    """The step's buffers acc, a and b, each (3, *block shape), and the staging
+    buffer, (3, n, n, n/2 + 1), carved from one allocation."""
+    lo, hi, depth = _dealias_block(grid.n, grid.k_max)[0]
+    block = (3, lo + hi, lo + hi, depth)
+    size = math.prod(block)
+    flat = np.empty(3 * size + 3 * math.prod(grid.spectral_shape), dtype=np.complex128)
+    acc, a, b = flat[: 3 * size].reshape(3, *block)
+    return acc, a, b, flat[3 * size :].reshape(3, *grid.spectral_shape)
+
+
 def step(u: SpectralVelocity, params: SolverParams, *, _work=None) -> SpectralVelocity:
     """Advance one time step with the integrating-factor RK4 scheme,
     new = e_full c + (dt/6) (e_full k1 + 2 e_half (k2 + k3) + k4).
 
-    ``_work`` holds the three velocity buffers acc, a and b, (3, 3, n, n,
-    n/2 + 1) complex: acc gathers the bracket, and a and b take turns as stage
-    argument and stage output.  ``simulate`` passes one per run and a direct
-    call allocates its own.  Each operation is the formula's ufunc on the same
+    ``_work`` is ``_workspace(grid)``: acc gathers the bracket on the block, a
+    and b take turns as stage argument and stage output, and the staging
+    buffer, cleared first, carries each stage argument to its inverse
+    transform.  ``simulate`` passes one per run and a direct call allocates its
+    own.  On the block each operation is the formula's ufunc on the same
     operands, done in place; only real-by-complex products and complex sums
-    swap operands, which is exact.  e_full c is formed once for stage 4 and
-    once for the result, so the result is not held through stage 4."""
+    swap operands, which is exact.  The block of c is cut afresh where it is
+    used, so none is held through a stage.  Besides its transform, the step
+    reads only the block of u and writes +0 outside it: the formula's bits
+    when u's zeros there are +0, and its value when they are -0."""
     grid = u.grid
     dt = params.dt
     phys = _physical(u.coeffs)
     _cfl_check(phys, grid, dt)
-    e_full, e_half = _integrating_factors(grid.n, params.nu, dt)
     if not params.nonlinear_enabled:
+        e_full = _integrating_factors(grid.n, params.nu, dt)[0]
         return SpectralVelocity(grid, u.coeffs * e_full, u.time + dt)
+    extent = _dealias_block(grid.n, grid.k_max)[0]
+    e_full, e_half = _block_factors(grid.n, grid.k_max, params.nu, dt)
+    acc, a, b, stage = _workspace(grid) if _work is None else _work
+    stage[...] = 0.0
     c = u.coeffs
-    acc, a, b = np.empty((3, *c.shape), dtype=c.dtype) if _work is None else _work
     _nonlinear_hat(phys, grid, a)  # a = k1
     del phys
     np.multiply(e_full, a, out=acc)
     np.multiply(a, 0.5 * dt, out=b)  # b = e_half (c + dt/2 k1)
-    b += c
+    b += _cut(c, extent)
     b *= e_half
-    _nonlinear_hat(_physical(b), grid, a)  # a = k2
-    np.multiply(e_half, c, out=b)  # b = e_half c + dt/2 k2
+    _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, a)  # a = k2
+    np.multiply(e_half, _cut(c, extent), out=b)  # b = e_half c + dt/2 k2
     b += (0.5 * dt) * a
-    _nonlinear_hat(_physical(b), grid, b)  # b = k3
+    _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, b)  # b = k3
     a += b
     b *= e_half  # b = e_full c + dt e_half k3
     b *= dt
-    b += e_full * c
+    b += e_full * _cut(c, extent)
     a *= 2.0 * e_half
     acc += a  # acc = e_full k1 + 2 e_half (k2 + k3)
-    _nonlinear_hat(_physical(b), grid, a)  # a = k4
+    _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, a)  # a = k4
     acc += a
     acc *= dt / 6.0
-    new = e_full * c
-    new += acc
-    return SpectralVelocity(grid, new, u.time + dt)
+    acc += e_full * _cut(c, extent)  # acc = new on the block
+    return SpectralVelocity(grid, _paste(acc, extent, np.zeros_like(c)), u.time + dt)
 
 
 @dataclass(frozen=True)
@@ -226,7 +258,7 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
     if abs(n_steps * params.dt - params.t_end) > 1e-9 * max(params.dt, params.t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
     u = u0
-    work = np.empty((3, 3, *u.grid.spectral_shape), dtype=np.complex128)
+    work = _workspace(u.grid)
     rows = [_sample_row(u, bank, params.nu)]
     if on_step is not None:
         on_step(0, u)

@@ -22,8 +22,11 @@ lattice is stored once per n (``_lattice``): the integer wavenumber axes
 shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
 half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also
 the filter bank's index into its radial tables, and the half-spectrum weight.
-``_solenoidal_noise`` is the one random draw behind both random-field
-generators.
+``_cut`` and ``_paste`` are the one four-corner block copy, the modes with
+every |k_i| within a cutoff: a shell's cube in the flux diagnostics, and the
+retained dealiased block in the time step, whose extent and read-only lattice
+``_dealias_block`` caches.  ``_solenoidal_noise`` is the one random draw
+behind both random-field generators.
 """
 
 from __future__ import annotations
@@ -66,6 +69,43 @@ def _inverse_k2(n):
     np.divide(1.0, k2, out=inv, where=k2 > 0)
     inv.flags.writeable = False
     return inv
+
+
+def _corners(n, lo, hi, depth):
+    """(block index, half-spectrum index) of the four slabs of the block that keeps
+    the first lo and last hi rows of both n-point axes and the first depth kz planes."""
+    rows = ((slice(0, lo), slice(0, lo)), (slice(lo, lo + hi), slice(n - hi, n)))
+    return [((..., bx, by, slice(None)), (..., fx, fy, slice(0, depth)))
+            for bx, fx in rows for by, fy in rows]
+
+
+def _cut(c, extent):
+    """The block extent = (lo, hi, depth) of half-spectrum values c, as a new array."""
+    lo, hi, depth = extent
+    out = np.empty((*c.shape[:-3], lo + hi, lo + hi, depth), dtype=c.dtype)
+    for b, f in _corners(c.shape[-2], lo, hi, depth):
+        out[b] = c[f]
+    return out
+
+
+def _paste(block, extent, out):
+    """Write a block into half-spectrum values out; the rest of out is kept."""
+    for b, f in _corners(out.shape[-2], *extent):
+        out[f] = block[b]
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _dealias_block(n, k_max):
+    """The block |k_i| <= k_max: its extent and its read-only (kx, ky, kz) and
+    1/|k|^2.  At k_max = n/2, lo = n/2 keeps the Nyquist row once, and the
+    block is the whole half spectrum."""
+    lo, hi, depth = extent = (min(k_max + 1, n - k_max), k_max, k_max + 1)
+    kx, _, kz = _lattice(n)[:3]
+    axis = np.concatenate((kx[:lo], kx[n - hi :]))
+    inv = _cut(_inverse_k2(n), extent)
+    axis.flags.writeable = inv.flags.writeable = False
+    return extent, (axis, axis.reshape(1, -1, 1), kz[..., :depth]), inv
 
 
 @functools.lru_cache(maxsize=16)
@@ -209,13 +249,13 @@ def inverse_transform(u: SpectralVelocity) -> PhysicalVelocity:
     return PhysicalVelocity(u.grid, _physical(u.coeffs), u.time)
 
 
-def _project_coeffs(coeffs, grid):
-    """Apply I - k k^T / |k|^2 to every mode of coeffs, in place."""
-    k = _lattice(grid.n)[:3]
+def _project_coeffs(coeffs, k, inv_k2):
+    """Apply I - k k^T / |k|^2 to every mode of coeffs, in place; k holds the
+    three lattice axes of coeffs and inv_k2 its 1/|k|^2."""
     div = k[0] * coeffs[0]
     div += k[1] * coeffs[1]
     div += k[2] * coeffs[2]
-    div *= _inverse_k2(grid.n)
+    div *= inv_k2
     for component, k_i in zip(coeffs, k):
         component -= k_i * div
 
@@ -223,13 +263,15 @@ def _project_coeffs(coeffs, grid):
 def leray_project(u: SpectralVelocity) -> SpectralVelocity:
     """Project each mode with I - k k^T / |k|^2, eliminating the pressure gradient."""
     coeffs = u.coeffs.copy()
-    _project_coeffs(coeffs, u.grid)
+    _project_coeffs(coeffs, _lattice(u.grid.n)[:3], _inverse_k2(u.grid.n))
     return SpectralVelocity(u.grid, coeffs, u.time)
 
 
 def dealias(u: SpectralVelocity) -> SpectralVelocity:
     """Zero every coefficient with max-norm |k_i| > k_max (2/3-rule projection)."""
-    return SpectralVelocity(u.grid, u.coeffs * u.grid.dealias_mask(), u.time)
+    coeffs = u.coeffs * u.grid.dealias_mask()
+    coeffs += 0.0  # -0.0 + 0.0 is +0.0: the masked modes are +0, as in a zero field
+    return SpectralVelocity(u.grid, coeffs, u.time)
 
 
 def zero_mean(u: SpectralVelocity) -> SpectralVelocity:
@@ -325,13 +367,14 @@ def _solenoidal_noise(grid: GridSpec, seed: int) -> np.ndarray:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     noise = np.random.default_rng(seed).standard_normal((3, *grid.shape))
     coeffs = _hat(noise)
-    _project_coeffs(coeffs, grid)
+    _project_coeffs(coeffs, _lattice(grid.n)[:3], _inverse_k2(grid.n))
     return coeffs
 
 
 def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> SpectralVelocity:
     """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
     coeffs = _solenoidal_noise(grid, seed) * grid.dealias_mask()
+    coeffs += 0.0  # the masked modes are +0, as in dealias
     coeffs[:, 0, 0, 0] = 0.0
     coeffs *= l2 / l2_norm(SpectralVelocity(grid, coeffs))
     return SpectralVelocity(grid, coeffs)

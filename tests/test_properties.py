@@ -220,9 +220,9 @@ def test_streamed_contraction_equals_written_out_sums(seed, n, scale, zeros):
         kx * what[1] + ky * what[3] + kz * what[4],
         kx * what[2] + ky * what[4] + kz * what[5],
     ])
-    assert _contract_k(iter(list(what))).tobytes() == expected.tobytes()
+    assert _contract_k(iter(list(what)), (kx, ky, kz)).tobytes() == expected.tobytes()
     dirty = np.full((3, *shape[1:]), np.nan, dtype=np.complex128)
-    assert _contract_k((w.copy() for w in what), out=dirty) is dirty
+    assert _contract_k((w.copy() for w in what), (kx, ky, kz), out=dirty) is dirty
     assert dirty.tobytes() == expected.tobytes()
 
 

@@ -16,18 +16,26 @@ from lpns import _fft
 from lpns.flux import SYM_PAIRS, shell_flux_report
 from lpns.lp import FilterBank, build_filter_bank
 from lpns.solver import (
+    CFL_CONSTANT,
     DIAG_EXPONENT,
     SolverParams,
     _integrating_factors,
+    _nonlinear_hat,
     _sample_row,
+    _workspace,
+    admissible_dt,
     energy_balance_residual,
     simulate,
     step,
 )
 from lpns.spectral import (
     GridSpec,
+    SpectralVelocity,
+    _cut,
+    _dealias_block,
     _lattice,
     _physical,
+    _solenoidal_noise,
     divergence_residual,
     energy,
     make_random_field,
@@ -132,26 +140,70 @@ class TestStep:
         again = _integrating_factors(16, 0.3, 1e-3)
         assert again[0] is e_full and again[1] is e_half
 
-    @pytest.mark.parametrize("n,fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5)])
+    @pytest.mark.parametrize("n,fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5), (16, 1.0)])
     def test_equals_written_out_formula(self, n, fraction):
         """Bit for bit, called alone and with a dirty workspace, over two steps."""
         grid = GridSpec(n, fraction)
         u = random_solenoidal_field(grid, n + 5, 3.0)
         params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
-        work = np.full((3, 3, *grid.spectral_shape), np.nan, dtype=np.complex128)
+        work = _workspace(grid)
+        for buffer in work:
+            buffer[...] = np.nan
         for _ in range(2):
             expected = reference_step(u, params)
             assert step(u, params).coeffs.tobytes() == expected.tobytes()
             u = step(u, params, _work=work)
             assert u.coeffs.tobytes() == expected.tobytes()
 
+    def test_negative_zeros_outside_the_block_become_positive(self):
+        """A mask multiply leaves -0 on masked modes.  The step matches the formula
+        bit for bit on the block and in value everywhere, and writes +0 outside."""
+        grid = GridSpec(32)
+        coeffs = _solenoidal_noise(grid, 4) * grid.dealias_mask()
+        coeffs[:, 0, 0, 0] = 0.0
+        u = SpectralVelocity(grid, coeffs)
+        assert np.any(np.signbit(coeffs[:, ~grid.dealias_mask()].real))
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
+        out, expected = step(u, params).coeffs, reference_step(u, params)
+        extent = _dealias_block(grid.n, grid.k_max)[0]
+        assert _cut(out, extent).tobytes() == _cut(expected, extent).tobytes()
+        outside = out[:, ~grid.dealias_mask()]
+        assert not np.any(np.signbit(outside.real)) and not np.any(np.signbit(outside.imag))
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("n,fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5), (16, 1.0)])
+    def test_block_nonlinear_term_equals_written_out_formula(self, n, fraction):
+        """On the retained block, bit for bit, into a dirty buffer."""
+        grid = GridSpec(n, fraction)
+        u = random_solenoidal_field(grid, n + 2, 3.0)
+        extent = _dealias_block(n, grid.k_max)[0]
+        out = _workspace(grid)[0]
+        out[...] = np.nan
+        _nonlinear_hat(_physical(u.coeffs), grid, out)
+        assert out.tobytes() == _cut(reference_nonlinear_hat(u.coeffs, grid), extent).tobytes()
+
+    @pytest.mark.parametrize("n,fraction", [(32, 2.0 / 3.0), (32, 0.5), (16, 1.0)])
+    def test_transforms_per_step(self, n, fraction):
+        """3 for the state, then 6 forward per stage and 3 inverse per later stage,
+        as the cost model pins."""
+        u = random_solenoidal_field(GridSpec(n, fraction), 2)
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
+        assert count_transforms(lambda: step(u, params)) == 36
+
     @pytest.mark.parametrize("n", [32, 64])
-    def test_peak_allocation_at_most_six_velocity_arrays(self, n):
-        """Without a workspace passed in, so the three buffers count too."""
+    def test_peak_allocation_at_most_four_and_a_half_velocity_arrays(self, n):
+        """Without a workspace passed in, so its block buffers and staging buffer count too."""
         u = random_solenoidal_field(GridSpec(n), 1)
         params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
-        step(u, params)  # fills the lattice, mask and factor caches
-        assert peak_allocation(lambda: step(u, params)) <= 6 * u.coeffs.nbytes
+        step(u, params)  # fills the lattice, block and factor caches
+        assert peak_allocation(lambda: step(u, params)) <= 4.5 * u.coeffs.nbytes
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_admissible_dt_equals_the_stacked_sum(self, n):
+        grid = GridSpec(n)
+        phys = _physical(random_solenoidal_field(grid, n, 7.0).coeffs)
+        vmax = math.sqrt(float(np.max(np.sum(phys**2, axis=0))))
+        assert admissible_dt(phys, grid) == CFL_CONSTANT * grid.dx / vmax
 
     def test_zero_field_fixed_point(self, grid16):
         params = SolverParams(nu=0.5, dt=1e-2, t_end=1.0)
@@ -334,7 +386,13 @@ class TestSimulate:
         monkeypatch.setattr(solver_mod, "step", recording)
         simulate(make_taylor_green(grid16, 1.0), SolverParams(nu=0.1, dt=1e-3, t_end=3e-3), bank16)
         assert len(seen) == 3 and all(work is seen[0] for work in seen)
-        assert seen[0].shape == (3, 3, *grid16.spectral_shape)
+        acc, a, b, stage = seen[0]
+        lo, hi, depth = _dealias_block(16, grid16.k_max)[0]
+        assert acc.shape == a.shape == b.shape == (3, lo + hi, lo + hi, depth) == (3, 11, 11, 6)
+        assert stage.shape == (3, *grid16.spectral_shape)
+        owner = acc.base
+        assert owner is not None and all(buffer.base is owner for buffer in (a, b, stage))
+        assert owner.nbytes == acc.nbytes + a.nbytes + b.nbytes + stage.nbytes
 
     def test_t_end_must_be_step_multiple(self, grid16, bank16):
         params = SolverParams(nu=1.0, dt=3e-3, t_end=0.01)

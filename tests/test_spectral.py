@@ -9,8 +9,11 @@ from lpns.lp import build_filter_bank, phi_profile, shell_energies
 from lpns.spectral import (
     BOX_VOLUME,
     GridSpec,
+    _cut,
+    _dealias_block,
     _inverse_k2,
     _lattice,
+    _paste,
     _project_coeffs,
     PhysicalVelocity,
     SpectralVelocity,
@@ -245,8 +248,9 @@ class TestLerayProjection:
         coeffs = forward_transform(
             PhysicalVelocity(grid64, np.random.default_rng(9).standard_normal((3, 64, 64, 64)))
         ).coeffs
-        _project_coeffs(coeffs.copy(), grid64)
-        assert peak_allocation(lambda: _project_coeffs(coeffs, grid64)) <= 2.25 * coeffs[0].nbytes
+        lattice = (_lattice(64)[:3], _inverse_k2(64))
+        _project_coeffs(coeffs.copy(), *lattice)
+        assert peak_allocation(lambda: _project_coeffs(coeffs, *lattice)) <= 2.25 * coeffs[0].nbytes
 
 
 class TestDealias:
@@ -282,6 +286,60 @@ class TestDealias:
         )
         once = dealias(u)
         assert np.array_equal(once.coeffs, dealias(once).coeffs)
+
+    @pytest.mark.parametrize("n,seed", [(32, 1), (64, 3)])
+    def test_masked_modes_are_positive_zero(self, n, seed):
+        """Neither dealias nor random_solenoidal_field leaves a sign bit set on a
+        masked mode: a mask multiply alone writes -0 there."""
+        grid = GridSpec(n)
+        outside = ~grid.dealias_mask()
+        noise = forward_transform(
+            PhysicalVelocity(grid, np.random.default_rng(seed).standard_normal((3, n, n, n)))
+        )
+        for u in (dealias(noise), random_solenoidal_field(grid, seed)):
+            masked = u.coeffs[:, outside]
+            assert not np.any(masked)
+            assert not np.any(np.signbit(masked.real)) and not np.any(np.signbit(masked.imag))
+
+
+class TestDealiasBlock:
+    @pytest.mark.parametrize("n,fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5), (16, 1.0)])
+    def test_block_is_the_mask(self, n, fraction):
+        """The block holds the modes |k_i| <= k_max, each once, with their lattice
+        axes and divisor; cut then pasted into zeros it is the masked field."""
+        grid = GridSpec(n, fraction)
+        extent, (kx, ky, kz), inv = _dealias_block(n, grid.k_max)
+        lo, hi, depth = extent
+        assert lo + hi == (2 * grid.k_max + 1 if grid.k_max < n // 2 else n)
+        assert np.array_equal(np.sort(kx.ravel()), np.unique(kx))  # each row once
+        assert np.max(np.abs(kx)) == grid.k_max and np.array_equal(kz.ravel(), np.arange(depth))
+        axes = np.broadcast_arrays(*_lattice(n)[:3])
+        for a, b in zip((kx, ky, kz), axes):
+            assert np.array_equal(np.broadcast_to(a, (lo + hi, lo + hi, depth)), _cut(b, extent))
+        assert np.array_equal(inv, _cut(_inverse_k2(n), extent))
+        assert not any(a.flags.writeable for a in (kx, ky, kz, inv))
+        c = forward_transform(
+            PhysicalVelocity(grid, np.random.default_rng(n).standard_normal((3, n, n, n)))
+        ).coeffs
+        block = _cut(c, extent)
+        assert block.shape == (3, lo + hi, lo + hi, depth)
+        pasted = _paste(block, extent, np.zeros_like(c))
+        assert pasted.tobytes() == np.where(grid.dealias_mask(), c, 0.0).tobytes()
+        dealiased = dealias(SpectralVelocity(grid, c)).coeffs
+        assert _paste(_cut(dealiased, extent), extent, np.zeros_like(c)).tobytes() == dealiased.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_full_fraction_keeps_the_whole_half_spectrum(self, n):
+        """At dealias_fraction = 1, k_max = n/2 and the block is the whole half
+        spectrum in its own order: the Nyquist row is kept once."""
+        grid = GridSpec(n, 1.0)
+        assert grid.k_max == n // 2
+        extent, k, inv = _dealias_block(n, grid.k_max)
+        assert extent == (n // 2, n // 2, n // 2 + 1)
+        assert all(np.array_equal(a, b) for a, b in zip(k, _lattice(n)[:3]))
+        assert np.array_equal(inv, _inverse_k2(n))
+        c = np.random.default_rng(1).standard_normal((3, *grid.spectral_shape)) + 0j
+        assert _cut(c, extent).tobytes() == c.tobytes()
 
 
 class TestTaylorGreen:
