@@ -8,8 +8,6 @@ from .flux import (
     RiccatiSides,
     ShellFluxRow,
     TriSums,
-    abc_sums,
-    estimate_abc_constants,
     lemma1_sides,
     nlt_split,
     remainder,
@@ -17,8 +15,6 @@ from .flux import (
     riccati_sides,
     shell_flux_report,
     shell_transfers,
-    tensor_shell,
-    transfer,
 )
 from .lp import (
     FilterBank,
@@ -32,8 +28,6 @@ from .lp import (
     reconstruct,
     shell_energies,
     shell_project,
-    sobolev_norm,
-    truncate_high,
     truncate_low,
 )
 from .solver import (

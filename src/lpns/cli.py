@@ -46,7 +46,13 @@ from .spectral import (
 )
 from .verify import SUITE_NAMES, run_suite
 
-CSV_FIXED_COLUMNS = "t,E,enstrophy,H1,H32,y,riccati_lhs,riccati_rhs,A,B,C,flux_sum"
+#: (CSV column, TrajectoryRow attribute) of each fixed diagnostics column, in
+#: file order; one Eq<q> column per shell follows, from ``shell_energies``.
+CSV_COLUMNS = (
+    ("t", "t"), ("E", "energy"), ("enstrophy", "enstrophy"), ("H1", "h1"), ("H32", "h32"),
+    ("y", "y"), ("riccati_lhs", "riccati_lhs"), ("riccati_rhs", "riccati_rhs"),
+    ("A", "A"), ("B", "B"), ("C", "C"), ("flux_sum", "flux_sum"),
+)
 
 CONFIG_KEYS = frozenset((
     "n", "nu", "dt", "t_end", "ic", "amplitude", "seed", "spectrum", "snapshot", "out",
@@ -194,13 +200,19 @@ def _precheck_cfl(u, dt):
         )
 
 
+def _write_text(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, columns, rows):
     lines = [",".join(columns)]
     for r in rows:
-        vals = (r.t, r.energy, r.enstrophy, r.h1, r.h32, r.y, r.riccati_lhs,
-                r.riccati_rhs, r.A, r.B, r.C, r.flux_sum, *r.shell_energies)
+        vals = (*(getattr(r, attr) for _, attr in CSV_COLUMNS), *r.shell_energies)
         lines.append(",".join(_fmt(v) for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _dump_json(obj, path=None):
@@ -214,7 +226,7 @@ def _dump_json(obj, path=None):
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_text(path, text)
 
 
 def cmd_simulate(args) -> int:
@@ -249,7 +261,7 @@ def cmd_simulate(args) -> int:
         result = simulate(u0, params, bank, save_snapshot)
     except (StepSizeError, DivergenceError) as exc:
         result, failure = exc.result, exc
-    columns = [*CSV_FIXED_COLUMNS.split(","), *(f"Eq{q}" for q in bank.shells)]
+    columns = [*(name for name, _ in CSV_COLUMNS), *(f"Eq{q}" for q in bank.shells)]
     _write_csv(out_dir / "diagnostics.csv", columns, result.rows)
     # vars, not dataclasses.asdict: the fields are plain values, and asdict's deep
     # copy costs more than the rest of the manifest.

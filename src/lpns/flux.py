@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fft
-from .errors import ConfigurationError, ShellRangeError, UndefinedRatioError
+from .errors import ConfigurationError, ShellRangeError
 from .lp import FilterBank, phi_profile, shell_energies, truncate_low
 from .spectral import (BOX_LENGTH, SpectralVelocity, _cut, _hat, _lattice, _lattice_sum, _physical,
                        is_dealiased)
@@ -97,13 +97,6 @@ def _product_hats(phys):
     return map(_hat, _products(phys))
 
 
-def tensor_shell(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarray:
-    """(u o u)_q: the phi_q-projection of the quadratic tensor field."""
-    _require_dealiased(u)
-    _check_shell(bank, q)
-    return bank.multiplier(q) * product_tensor_hat(u)
-
-
 def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None,
               _uq_phys=None) -> np.ndarray:
     """Remainder tensor r_q(u, u) = (u o u)_q - u_q o u - u o u_q (spectral).
@@ -173,11 +166,6 @@ def shell_transfers(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     """Transfer integrals int Tr[(u o u)_q . grad u_q] dx for every shell."""
     _require_dealiased(u)
     return bank.shell_sum(_transfer_density(u))
-
-
-def transfer(u: SpectralVelocity, bank: FilterBank, q: int) -> float:
-    _check_shell(bank, q)
-    return float(shell_transfers(u, bank)[q - bank.q_min])
 
 
 def shell_dissipations(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
@@ -328,42 +316,8 @@ def _trisums(s, nu, lams, terms) -> TriSums:
     return TriSums(s, nu, *(float(x) for x in terms @ lams ** (2 * s)))
 
 
-def abc_sums(u: SpectralVelocity, bank: FilterBank, s: float, nu: float) -> TriSums:
-    """Evaluate the trisums A, B, C over all representable shells."""
-    _check_exponent_and_viscosity(s, nu)
-    lams = bank.lambdas()
-    return _trisums(s, nu, lams, _lemma1_terms(*_shell_norm_table(u, bank), lams))
-
-
 def _riccati_exponent(s):
     return (2.0 * s + 1.0) / (2.0 * s - 1.0)
-
-
-def _abc_denominator(energies, lams, s, nu):
-    ex = _riccati_exponent(s)
-    return nu * float(np.sum((energies * lams ** (2 * s) / nu) ** ex)) + nu / 3.0 * float(
-        np.sum(lams ** (2 * s + 2) * energies)
-    )
-
-
-def estimate_abc_constants(ensemble, bank: FilterBank, s: float, nu: float):
-    """Empirical constants (K_A, K_B, K_C): worst ratio of each trisum to the
-    dissipation-plus-square comparison sum over the ensemble."""
-    _check_exponent_and_viscosity(s, nu)
-    best = [-math.inf, -math.inf, -math.inf]
-    usable = 0
-    for u in ensemble:
-        energies = shell_energies(u, bank)
-        denom = _abc_denominator(energies, bank.lambdas(), s, nu)
-        if denom <= 0.0:
-            continue
-        usable += 1
-        tri = abc_sums(u, bank, s, nu)
-        for i, val in enumerate((tri.A, tri.B, tri.C)):
-            best[i] = max(best[i], val / denom)
-    if usable == 0:
-        raise UndefinedRatioError("ensemble contains no field with positive comparison sum")
-    return tuple(best)
 
 
 @dataclass(frozen=True)

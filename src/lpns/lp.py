@@ -84,7 +84,6 @@ class FilterBank:
     phi_sq: np.ndarray   # phi**2
     psi0: np.ndarray     # (3 (n/2)^2 + 1,), psi(sqrt(m))
     k2: np.ndarray       # (n, n, n/2 + 1) integer |k|^2: the lattice index into every table
-    profile_id: str = PROFILE_ID
 
     @property
     def shells(self):
@@ -165,33 +164,15 @@ def reconstruct(d: ShellDecomposition) -> SpectralVelocity:
     return SpectralVelocity(d.grid, coeffs, time)
 
 
-def _low_multiplier(bank: FilterBank, q_top: int) -> np.ndarray:
-    upper = min(q_top, bank.q_max) - bank.q_min + 1
-    if upper <= 0:
-        return np.zeros(bank.grid.spectral_shape)
-    return np.sum(bank.phi[:upper], axis=0)[bank.k2]
-
-
 def truncate_low(u: SpectralVelocity, bank: FilterBank, q_top: int) -> SpectralVelocity:
     """Partial sum u_{<=Q}; Q below the shell range yields the zero field."""
-    return SpectralVelocity(u.grid, u.coeffs * _low_multiplier(bank, q_top), u.time)
-
-
-def truncate_high(u: SpectralVelocity, bank: FilterBank, q_bottom: int) -> SpectralVelocity:
-    """Partial sum u_{>=Q}, the exact complement of u_{<=Q-1} for zero-mean u."""
-    return SpectralVelocity(
-        u.grid, u.coeffs * (1.0 - _low_multiplier(bank, q_bottom - 1)), u.time
-    )
+    upper = max(min(q_top, bank.q_max) - bank.q_min + 1, 0)
+    return SpectralVelocity(u.grid, u.coeffs * np.sum(bank.phi[:upper], axis=0)[bank.k2], u.time)
 
 
 def shell_energies(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
     """Squared L2 norms ||u_q||_2^2 for every shell in the bank."""
     return bank.shell_sum(np.sum(np.abs(u.coeffs) ** 2, axis=0))
-
-
-def sobolev_norm(u: SpectralVelocity, bank: FilterBank, s: float) -> float:
-    """Homogeneous Sobolev norm (sum_q lam_q^(2s) ||u_q||_2^2)^(1/2)."""
-    return math.sqrt(float(np.sum(bank.lambdas() ** (2.0 * s) * shell_energies(u, bank))))
 
 
 def bernstein_ratio(u_q: SpectralVelocity, bank: FilterBank, q: int, p, r) -> float:

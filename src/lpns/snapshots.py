@@ -29,7 +29,8 @@ def sidecar_path(path) -> Path:
 
 
 def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> None:
-    """Write the field and its JSON sidecar; meta entries land in the sidecar."""
+    """Write the field and its JSON sidecar; meta entries land in the sidecar.
+    Raises ConfigurationError when either file cannot be written."""
     path = Path(path)
     if field.values.shape != (3, *field.grid.shape):
         raise ConfigurationError("field shape does not match its grid")
@@ -47,10 +48,13 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
         raise ConfigurationError(
             f"snapshot {path}: sidecar holds a non-finite number, which JSON cannot represent"
         ) from exc
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.time))
-        fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")))
-    sidecar_path(path).write_text(text)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.time))
+            fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")))
+        sidecar_path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write snapshot {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:

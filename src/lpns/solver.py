@@ -267,8 +267,8 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
             new = step(u, params, _work=work)
             if not np.all(np.isfinite(new.coeffs.view(np.float64))):
                 raise DivergenceError(
-                    f"solution diverged at t = {new.time:g}; last good time {(i - 1) * params.dt:g}",
-                    last_good_time=(i - 1) * params.dt,
+                    f"solution diverged at t = {new.time:g}; last good time {u.time:g}",
+                    last_good_time=u.time,
                 )
             u = new
             if i % params.diag_every == 0:

@@ -150,17 +150,9 @@ class GridSpec:
         """Shape of one component's half spectrum, 0 <= kz <= n/2."""
         return (self.n, self.n, self.n // 2 + 1)
 
-    def wavevectors(self):
-        """Integer wavevector components (kx, ky, kz), shaped (n, 1, 1), (1, n, 1)
-        and (1, 1, n/2 + 1) so that they broadcast against the half spectrum."""
-        return _lattice(self.n)[:3]
-
     def k_squared(self):
         """Integer |k|^2 on the half spectrum (int64, read-only)."""
         return _lattice(self.n)[3]
-
-    def k_magnitude(self):
-        return np.sqrt(self.k_squared())
 
     def dealias_mask(self):
         """Boolean mask of modes with max-norm |k_i| <= k_max."""
@@ -189,9 +181,6 @@ class PhysicalVelocity:
     grid: GridSpec
     values: np.ndarray
     time: float = 0.0
-
-    def copy(self) -> "PhysicalVelocity":
-        return PhysicalVelocity(self.grid, self.values.copy(), self.time)
 
 
 def zero_velocity(grid: GridSpec) -> SpectralVelocity:
@@ -303,11 +292,6 @@ def enstrophy(u: SpectralVelocity) -> float:
     """Squared gradient norm int |grad u|^2 dx."""
     k2 = u.grid.k_squared()
     return float(_lattice_sum(k2 * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
-
-
-def physical_l2_norm(f: PhysicalVelocity) -> float:
-    """Quadrature L2 norm on the physical lattice (independent of l2_norm)."""
-    return math.sqrt(float(np.sum(f.values**2)) * f.grid.dx**3)
 
 
 def lp_norm(f: PhysicalVelocity, p) -> float:

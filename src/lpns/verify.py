@@ -1,7 +1,7 @@
 """Named property suites driven by the command line's verify mode.
 
 Each suite returns a list of CheckResult rows; a suite passes when every row
-does.  The suites accept an optional injected field so callers can exercise
+does.  ``nlt_suite`` also accepts an injected field, so callers can exercise
 negative cases (e.g. a non-solenoidal field breaking the flux identities).
 """
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -7,10 +8,12 @@ import pytest
 
 import lpns.solver
 from lpns.bounds import riccati_solve
-from lpns.cli import main, parse_config_text
+from lpns.cli import CSV_COLUMNS, main, parse_config_text
 from lpns.errors import ConfigurationError, DivergenceError, StepSizeError
+from lpns.lp import build_filter_bank
 from lpns.snapshots import read_snapshot, sidecar_path, write_snapshot
-from lpns.spectral import inverse_transform, make_taylor_green, zero_velocity
+from lpns.solver import SolverParams, TrajectoryRow, simulate
+from lpns.spectral import GridSpec, inverse_transform, make_taylor_green, zero_velocity
 from lpns.verify import nlt_suite
 
 EXPECTED_HEADER = "t,E,enstrophy,H1,H32,y,riccati_lhs,riccati_rhs,A,B,C,flux_sum"
@@ -160,6 +163,19 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
 
+    @pytest.mark.parametrize("name", ["diagnostics.csv", "run_manifest.json",
+                                      "snapshot_00000000.lpns", "snapshot_00000000.json"])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, name):
+        """A directory at an output file's path is a configuration error naming that path."""
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, snapshot_every=5)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / name) in err
+
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"n = 16\nnu = \xff\n")
@@ -182,6 +198,36 @@ class TestSimulateCommand:
         man1 = (tmp_path / "o1" / "run_manifest.json").read_bytes()
         man2 = (tmp_path / "o2" / "run_manifest.json").read_bytes()
         assert man1 == man2
+
+
+class TestCsvColumns:
+    def test_table_names_every_row_field_once(self):
+        names = [name for name, _ in CSV_COLUMNS]
+        attrs = [attr for _, attr in CSV_COLUMNS]
+        fields = [f.name for f in dataclasses.fields(TrajectoryRow) if f.name != "shell_energies"]
+        assert sorted(attrs) == sorted(fields)
+        assert len(set(names)) == len(names)
+
+    def test_header_manifest_and_rows_agree(self, tmp_path):
+        """The header is the manifest's columns, and each row holds one value per
+        column: the row attribute the table pairs with it, then Eq<q> per shell."""
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        columns = json.loads((out / "run_manifest.json").read_text())["columns"]
+        assert lines[0].split(",") == columns
+        grid = GridSpec(16)
+        bank = build_filter_bank(grid)
+        result = simulate(make_taylor_green(grid, 1.0),
+                          SolverParams(nu=0.5, dt=1e-3, t_end=0.01, diag_every=5), bank)
+        assert columns[len(CSV_COLUMNS):] == [f"Eq{q}" for q in bank.shells]
+        assert len(lines) == 1 + len(result.rows)
+        for line, row in zip(lines[1:], result.rows):
+            values = [float(v) for v in line.split(",")]
+            assert len(values) == len(columns)
+            assert values == [*(getattr(row, attr) for _, attr in CSV_COLUMNS), *row.shell_energies]
 
 
 class TestAnalyzeCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpns.errors import ConfigurationError, ShellRangeError, UndefinedRatioError
+from lpns.errors import ConfigurationError, ShellRangeError
 from lpns.flux import (
     LOW_PASS_SHIFT,
     SYM_PAIRS,
@@ -12,8 +12,6 @@ from lpns.flux import (
     _shell_fields,
     _shell_l4_norms,
     _shell_norm_table,
-    abc_sums,
-    estimate_abc_constants,
     lemma1_sides,
     nlt_split,
     product_tensor_hat,
@@ -24,17 +22,13 @@ from lpns.flux import (
     shell_flux_report,
     shell_transfers,
     tensor_l2_norm,
-    tensor_shell,
     total_flux,
-    transfer,
 )
 from lpns.lp import build_filter_bank, lam, phi_profile, shell_project
 from lpns.spectral import (
     GridSpec,
     SpectralVelocity,
     _lattice,
-    energy,
-    l2_norm,
     make_random_field,
     make_taylor_green,
     zero_velocity,
@@ -63,35 +57,37 @@ def quadrature_transfer(u, bank, q):
 
 
 class TestTensorShell:
+    """(u o u)_q is bank.multiplier(q) times the product tensor."""
+
     def test_zero_field(self, grid16, bank16):
-        assert not np.any(tensor_shell(zero_velocity(grid16), bank16, 1))
+        assert not np.any(bank16.multiplier(1) * product_tensor_hat(zero_velocity(grid16)))
 
     def test_single_mode_product_support(self, grid32, bank32):
         """|k| = 1 squares into modes {0, 2}; shell 1 captures |k| = 2 fully."""
         u = single_mode_field(grid32, (1, 0, 0), (0, 0.5, 0))
         what = product_tensor_hat(u)
-        kx, ky, kz = grid32.wavevectors()
+        kx, ky, kz = _lattice(32)[:3]
         k2int = kx * kx + ky * ky + kz * kz
         off = (k2int != 0) & (k2int != 4)
         assert np.max(np.abs(what[:, off])) < 1e-15
-        t1 = tensor_shell(u, bank32, 1)
+        t1 = bank32.multiplier(1) * what
         sel = k2int == 4
         assert np.max(np.abs(t1[:, sel] - what[:, sel])) < 1e-18
 
     def test_trace_reconstruction(self, grid32, bank32):
         """Traces of the shell tensors sum to u_i u_j minus its mean."""
         tg = make_taylor_green(grid32, 1.0)
+        what = product_tensor_hat(tg)
         total = np.zeros((6, *grid32.spectral_shape), dtype=np.complex128)
         for q in bank32.shells:
-            total += tensor_shell(tg, bank32, q)
-        what = product_tensor_hat(tg)
+            total += bank32.multiplier(q) * what
         what[:, 0, 0, 0] = 0.0
         assert np.max(np.abs(total - what)) < 1e-15
 
     def test_rejects_aliased_field(self, grid16, bank16):
         u = single_mode_field(grid16, (7, 0, 0), (0, 1.0, 0))  # above k_max = 5
         with pytest.raises(ConfigurationError):
-            tensor_shell(u, bank16, 1)
+            shell_transfers(u, bank16)
 
 
 class TestRemainder:
@@ -159,14 +155,14 @@ class TestTransfer:
     def test_matches_quadrature_oracle(self, grid32, bank32):
         u = random_solenoidal_field(grid32, 7)
         for q in (0, 2, 4):
-            spectral = transfer(u, bank32, q)
+            spectral = shell_transfers(u, bank32)[q]
             direct = quadrature_transfer(u, bank32, q)
             assert spectral == pytest.approx(direct, rel=1e-12, abs=1e-18)
 
     def test_taylor_green_t0_shell0_empty(self, grid32, bank32):
         """At t = 0 the TG tensor has no support inside shell 0's annulus."""
         tg = make_taylor_green(grid32, 1.0)
-        assert transfer(tg, bank32, 0) == pytest.approx(0.0, abs=1e-16)
+        assert shell_transfers(tg, bank32)[0] == pytest.approx(0.0, abs=1e-16)
 
     def test_sign_pattern_under_forward_simulation(self, grid32, bank32):
         """Energy moves downscale: shells 0-1 lose, shell 2 gains at t = 0+."""
@@ -186,7 +182,7 @@ class TestNltSplit:
     def test_single_mode_shell0(self, grid32, bank32):
         """One Fourier mode feeds no energy back into its own shell."""
         u = single_mode_field(grid32, (1, 0, 0), (0, 0.4, 0.1))
-        t0 = transfer(u, bank32, 0)
+        t0 = shell_transfers(u, bank32)[0]
         assert t0 == pytest.approx(0.0, abs=1e-16)
         r_part, low_part = nlt_split(u, bank32, 0)
         assert r_part + low_part == pytest.approx(t0, abs=1e-14)
@@ -321,7 +317,8 @@ class TestLemma1:
 
 
 def brute_force_abc(u, bank, s, nu):
-    """Literal double loops over (q, p), written independently of abc_sums."""
+    """Literal double loops over (q, p), written independently of the trisums
+    of ``shell_flux_report``."""
     l2, l4 = _shell_norm_table(u, bank)
     shells = list(bank.shells)
     a = b = c = 0.0
@@ -337,15 +334,17 @@ def brute_force_abc(u, bank, s, nu):
 
 
 class TestAbcSums:
+    """The trisums A, B, C of ``shell_flux_report``."""
+
     def test_zero_field(self, grid16, bank16):
-        tri = abc_sums(zero_velocity(grid16), bank16, 1.5, 1.0)
+        tri = shell_flux_report(zero_velocity(grid16), bank16, 1.5, 1.0).trisums
         assert (tri.A, tri.B, tri.C) == (0.0, 0.0, 0.0)
 
     def test_single_mode_collapse(self, grid32, bank32):
         """Only shell 0 populated: A = ||u||_2 ||u||_4^2, B = 0, C = ||u||_2^3."""
         u = single_mode_field(grid32, (1, 0, 0), (0, 0.3, 0.2))
         l2, l4 = _shell_norm_table(u, bank32)
-        tri = abc_sums(u, bank32, 1.5, 1.0)
+        tri = shell_flux_report(u, bank32, 1.5, 1.0).trisums
         assert tri.A == pytest.approx(l2[0] * l4[0] ** 2, rel=1e-12)
         assert tri.B == 0.0
         assert tri.C == pytest.approx(l2[0] ** 3, rel=1e-12)
@@ -353,7 +352,7 @@ class TestAbcSums:
     @pytest.mark.parametrize("s", [0.75, 1.5, 2.25])
     def test_against_double_loop_oracle(self, grid32, bank32, s):
         tg = make_taylor_green(grid32, 1.0)
-        tri = abc_sums(tg, bank32, s, 1.0)
+        tri = shell_flux_report(tg, bank32, s, 1.0).trisums
         ref = brute_force_abc(tg, bank32, s, 1.0)
         assert tri.A == pytest.approx(ref.A, rel=1e-12)
         assert tri.B == pytest.approx(ref.B, rel=1e-12)
@@ -361,7 +360,7 @@ class TestAbcSums:
 
     def test_random_field_against_oracle(self, grid32, bank32):
         u = random_solenoidal_field(grid32, 23)
-        tri = abc_sums(u, bank32, 1.5, 0.3)
+        tri = shell_flux_report(u, bank32, 1.5, 0.3).trisums
         ref = brute_force_abc(u, bank32, 1.5, 0.3)
         for got, want in ((tri.A, ref.A), (tri.B, ref.B), (tri.C, ref.C)):
             assert got == pytest.approx(want, rel=1e-12)
@@ -370,33 +369,11 @@ class TestAbcSums:
         u = random_solenoidal_field(grid16, 0)
         for bad in (0.5, 2.5, 3.0, 0.1):
             with pytest.raises(ShellRangeError):
-                abc_sums(u, bank16, bad, 1.0)
+                shell_flux_report(u, bank16, bad, 1.0)
 
     def test_bad_viscosity(self, grid16, bank16):
         with pytest.raises(ConfigurationError):
-            abc_sums(random_solenoidal_field(grid16, 0), bank16, 1.5, 0.0)
-
-
-class TestEstimateConstants:
-    def test_zero_ensemble_rejected(self, grid16, bank16):
-        with pytest.raises(UndefinedRatioError):
-            estimate_abc_constants([zero_velocity(grid16)], bank16, 1.5, 1.0)
-
-    def test_single_mode_closed_form(self, grid32, bank32):
-        """Shell-0 collapse: denominator = nu * 1 + nu/3 = 4/3 at unit energy."""
-        u = single_mode_field(grid32, (1, 0, 0), (0, 0.4, 0.0))
-        u.coeffs /= l2_norm(u)
-        assert energy(u) == pytest.approx(1.0, rel=1e-14)
-        tri = abc_sums(u, bank32, 1.5, 1.0)
-        k_a, k_b, k_c = estimate_abc_constants([u], bank32, 1.5, 1.0)
-        assert k_a == pytest.approx(tri.A / (4.0 / 3.0), rel=1e-12)
-        assert k_b == pytest.approx(0.0, abs=1e-18)
-        assert k_c == pytest.approx(tri.C / (4.0 / 3.0), rel=1e-12)
-
-    def test_finite_on_ensemble(self, grid32, bank32):
-        ensemble = [random_solenoidal_field(grid32, s) for s in range(5)]
-        constants = estimate_abc_constants(ensemble, bank32, 1.5, 0.1)
-        assert all(math.isfinite(k) for k in constants)
+            shell_flux_report(random_solenoidal_field(grid16, 0), bank16, 1.5, 0.0)
 
 
 class TestRiccatiSides:

@@ -330,7 +330,8 @@ class TestSimulate:
             simulate(u, params, bank16)
 
     def test_divergence_error_reports_last_good_time(self, grid16, bank16, monkeypatch):
-        """A NaN produced mid-run stops the march with the last good time."""
+        """A NaN produced mid-run stops the march with the last good time, the
+        state's own time whatever time the run started from."""
         import lpns.solver as solver_mod
 
         real_step = solver_mod.step
@@ -345,13 +346,18 @@ class TestSimulate:
 
         monkeypatch.setattr(solver_mod, "step", poisoned)
         params = SolverParams(nu=1.0, dt=1e-3, t_end=0.01)
-        with pytest.raises(DivergenceError) as err:
-            simulate(single_mode_shear(grid16), params, bank16)
-        assert err.value.last_good_time == pytest.approx(2e-3)
-        partial = err.value.result
-        assert [row.t for row in partial.rows] == pytest.approx([0.0, 1e-3, 2e-3])
-        assert partial.final.time == pytest.approx(2e-3)
-        assert np.all(np.isfinite(partial.final.coeffs.view(np.float64)))
+        for t0 in (0.0, 0.5):
+            count["n"] = 0
+            u0 = single_mode_shear(grid16)
+            u0.time = t0
+            with pytest.raises(DivergenceError) as err:
+                simulate(u0, params, bank16)
+            partial = err.value.result
+            assert err.value.last_good_time == partial.final.time
+            assert partial.final.time == pytest.approx(t0 + 2e-3)
+            assert f"last good time {t0 + 2e-3:g}" in str(err.value)
+            assert [row.t for row in partial.rows] == pytest.approx([t0, t0 + 1e-3, t0 + 2e-3])
+            assert np.all(np.isfinite(partial.final.coeffs.view(np.float64)))
 
     def test_on_step_stops_at_the_last_accepted_step(self, grid16, bank16, monkeypatch):
         import lpns.solver as solver_mod
