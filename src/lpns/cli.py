@@ -177,18 +177,17 @@ def load_run_config(path) -> RunConfig:
 
 def _initial_field(cfg: RunConfig, grid: GridSpec):
     if cfg.ic == "taylor_green":
-        return make_taylor_green(grid, cfg.amplitude), "taylor_green"
+        return make_taylor_green(grid, cfg.amplitude)
     if cfg.ic == "random":
-        return make_random_field(grid, cfg.seed, cfg.spectrum), "random"
+        return make_random_field(grid, cfg.seed, cfg.spectrum)
     phys, _ = read_snapshot(cfg.snapshot)
     if phys.grid.n != grid.n:
         raise ConfigurationError(
             f"snapshot grid n={phys.grid.n} does not match configured n={grid.n}"
         )
-    u = zero_mean(dealias(leray_project(forward_transform(
+    return zero_mean(dealias(leray_project(forward_transform(
         type(phys)(grid, phys.values, phys.time)
     ))))
-    return u, "snapshot"
 
 
 def _precheck_cfl(u, dt):
@@ -240,7 +239,7 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigurationError(f"cannot use output directory {out_dir}: {exc}") from exc
     grid = GridSpec(cfg.n, cfg.dealias_fraction)
-    u0, generator = _initial_field(cfg, grid)
+    u0 = _initial_field(cfg, grid)
     _precheck_cfl(u0, cfg.dt)
     params = SolverParams(
         nu=cfg.nu,
@@ -250,7 +249,7 @@ def cmd_simulate(args) -> int:
         nonlinear_enabled=cfg.nonlinear,
     )
     bank = build_filter_bank(grid)
-    meta = {"nu": cfg.nu, "seed": cfg.seed, "generator": generator}
+    meta = {"nu": cfg.nu, "seed": cfg.seed, "generator": cfg.ic}
 
     def save_snapshot(i, u):
         if cfg.snapshot_every and i % cfg.snapshot_every == 0:
@@ -259,7 +258,9 @@ def cmd_simulate(args) -> int:
     failure = None
     try:
         result = simulate(u0, params, bank, save_snapshot)
-    except (StepSizeError, DivergenceError) as exc:
+    except LpnsError as exc:  # one raised during the march keeps its rows: write them, then re-raise
+        if not hasattr(exc, "result"):
+            raise
         result, failure = exc.result, exc
     columns = [*(name for name, _ in CSV_COLUMNS), *(f"Eq{q}" for q in bank.shells)]
     _write_csv(out_dir / "diagnostics.csv", columns, result.rows)
@@ -270,7 +271,7 @@ def cmd_simulate(args) -> int:
     manifest = {
         "code_version": __version__,
         "psi_profile": PROFILE_ID,
-        "generator": generator,
+        "generator": cfg.ic,
         "config": config,
         "columns": columns,
         "n_steps": int(round(cfg.t_end / cfg.dt)),

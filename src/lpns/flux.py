@@ -57,11 +57,6 @@ def _check_viscosity(nu):
         raise ConfigurationError(f"viscosity must be finite and positive, got {nu}")
 
 
-def _check_shell(bank, q):
-    if q < bank.q_min or q > bank.q_max:
-        raise ShellRangeError(f"shell {q} outside [{bank.q_min}, {bank.q_max}]")
-
-
 def _products(phys):
     """The pointwise products u_i u_j of grid values, upper-triangle components,
     built one at a time."""
@@ -106,7 +101,7 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     sequence of three components); each is read, never written, and computed
     here when not given.  The cross terms are transformed one component at a
     time, so no six-component physical tensor is held."""
-    _check_shell(bank, q)
+    bank.check_shell(q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
@@ -126,7 +121,7 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
     full lattice.  Independent of the multiplier rearrangement used by
     :func:`remainder` and of how the bank stores its multipliers.
     """
-    _check_shell(bank, q)
+    bank.check_shell(q)
     n = u.grid.n
     phys = _physical(u.coeffs)
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -193,7 +188,7 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     exactly; see LOW_PASS_SHIFT for the support argument fixing the cutoff.
     """
     _require_dealiased(u)
-    _check_shell(bank, q)
+    bank.check_shell(q)
     n = u.grid.n
     phys = _physical(u.coeffs)
     what = product_tensor_hat(u, phys)

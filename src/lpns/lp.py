@@ -7,12 +7,12 @@ integer lattice the q >= 0 shells telescope to a partition of unity on every
 retained nonzero mode, and shells with q < 0 vanish identically.
 
 Every multiplier depends on k only through the integer m = |k|^2, so the bank
-stores radial tables indexed by m in [0, 3 (n/2)^2] plus the half-spectrum
-lattice of m.  A shell sum sum_k phi_q(k)^p density(k) over the whole lattice
-is one radial histogram of the half-spectrum-weighted density (np.bincount
-over the lattice) followed by a table-vector product; a multiplier is
-gathered from its table onto the half spectrum only where a field is actually
-filtered.
+stores only radial tables indexed by m in [0, 3 (n/2)^2]; its index into them
+is the half-spectrum lattice of m that ``spectral._lattice`` owns.  A shell
+sum sum_k phi_q(k)^p density(k) over the whole lattice is one radial
+histogram of the half-spectrum-weighted density (np.bincount over the
+lattice) followed by a table-vector product; a multiplier is gathered from its
+table onto the half spectrum only where a field is actually filtered.
 """
 
 from __future__ import annotations
@@ -73,17 +73,21 @@ class FilterBank:
     """Shell multipliers of one grid as radial tables; immutable and shareable.
 
     Table column m holds the multiplier's value at |k| = sqrt(m), so the
-    half-spectrum multiplier of shell q is ``phi[q - q_min][k2]``.  The array
-    fields are the whole bank.
+    half-spectrum multiplier of shell q is ``phi[q - q_min][k2]`` with k2 the
+    grid's |k|^2 from ``spectral._lattice``.  The array fields are the whole
+    bank.
     """
 
+    q_min = 0  # a class constant, not a field: every shell q < 0 vanishes on the lattice
     grid: GridSpec
-    q_min: int
     q_max: int
     phi: np.ndarray      # (n_shells, 3 (n/2)^2 + 1), phi[q - q_min, m] = phi_q(sqrt(m))
     phi_sq: np.ndarray   # phi**2
-    psi0: np.ndarray     # (3 (n/2)^2 + 1,), psi(sqrt(m))
-    k2: np.ndarray       # (n, n, n/2 + 1) integer |k|^2: the lattice index into every table
+
+    def check_shell(self, q):
+        """Raise ShellRangeError unless q is one of the bank's shells."""
+        if not self.q_min <= q <= self.q_max:
+            raise ShellRangeError(f"shell {q} outside [{self.q_min}, {self.q_max}]")
 
     @property
     def shells(self):
@@ -98,18 +102,15 @@ class FilterBank:
 
     def multiplier(self, q) -> np.ndarray:
         """phi_q gathered onto the half spectrum."""
-        if not self.q_min <= q <= self.q_max:
-            raise ShellRangeError(f"shell {q} outside [{self.q_min}, {self.q_max}]")
-        return self.phi[q - self.q_min][self.k2]
+        self.check_shell(q)
+        return self.phi[q - self.q_min][self.grid.k_squared()]
 
     def shell_sum(self, density, *, squared: bool = True) -> np.ndarray:
         """BOX_VOLUME * sum_k phi_q(k)^p density(k) over the whole lattice for
         every shell, p = 2 (or p = 1 with ``squared=False``); density is real and
         held on the half spectrum, weighted as in ``spectral._lattice_sum``."""
-        weight = _lattice(self.grid.n)[4]
-        radial = np.bincount(
-            self.k2.ravel(), weights=np.ravel(weight * density), minlength=self.phi.shape[1]
-        )
+        k2, weight = _lattice(self.grid.n)[3:]
+        radial = np.bincount(k2.ravel(), weights=np.ravel(weight * density), minlength=self.phi.shape[1])
         return BOX_VOLUME * ((self.phi_sq if squared else self.phi) @ radial)
 
 
@@ -121,18 +122,16 @@ def build_filter_bank(grid: GridSpec) -> FilterBank:
     radius = np.sqrt(np.arange(3 * (grid.n // 2) ** 2 + 1, dtype=np.float64))
     phi = np.stack([phi_profile(radius, q) for q in range(q_max + 1)])
     phi_sq = phi * phi
-    psi0 = psi_profile(radius)
-    for table in (phi, phi_sq, psi0):
-        table.flags.writeable = False
-    return FilterBank(grid, 0, q_max, phi, phi_sq, psi0, grid.k_squared())
+    phi.flags.writeable = phi_sq.flags.writeable = False
+    return FilterBank(grid, q_max, phi, phi_sq)
 
 
 def partition_residual(bank: FilterBank) -> float:
     """Max |psi(|k|) + sum_q phi_q(k) - 1| over lattice modes 0 < |k| <= k_max."""
-    radius = np.sqrt(np.arange(bank.psi0.size, dtype=np.float64))
-    occupied = np.bincount(bank.k2.ravel(), minlength=bank.psi0.size) > 0
+    radius = np.sqrt(np.arange(bank.phi.shape[1], dtype=np.float64))
+    occupied = np.bincount(bank.grid.k_squared().ravel(), minlength=radius.size) > 0
     sel = occupied & (radius > 0) & (radius <= bank.grid.k_max)
-    total = bank.psi0 + np.sum(bank.phi, axis=0)
+    total = psi_profile(radius) + np.sum(bank.phi, axis=0)
     return float(np.max(np.abs(total[sel] - 1.0)))
 
 
@@ -166,8 +165,8 @@ def reconstruct(d: ShellDecomposition) -> SpectralVelocity:
 
 def truncate_low(u: SpectralVelocity, bank: FilterBank, q_top: int) -> SpectralVelocity:
     """Partial sum u_{<=Q}; Q below the shell range yields the zero field."""
-    upper = max(min(q_top, bank.q_max) - bank.q_min + 1, 0)
-    return SpectralVelocity(u.grid, u.coeffs * np.sum(bank.phi[:upper], axis=0)[bank.k2], u.time)
+    low = np.sum(bank.phi[: max(min(q_top, bank.q_max) - bank.q_min + 1, 0)], axis=0)
+    return SpectralVelocity(u.grid, u.coeffs * low[bank.grid.k_squared()], u.time)
 
 
 def shell_energies(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
@@ -177,8 +176,7 @@ def shell_energies(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:
 
 def bernstein_ratio(u_q: SpectralVelocity, bank: FilterBank, q: int, p, r) -> float:
     """||u_q||_p / (lam_q^(3(1/r - 1/p)) ||u_q||_r) for a shell-supported field."""
-    if not bank.q_min <= q <= bank.q_max:
-        raise ShellRangeError(f"shell {q} outside [{bank.q_min}, {bank.q_max}]")
+    bank.check_shell(q)
     allowed = (2, 4, math.inf)
     if p not in allowed or r not in allowed:
         raise ConfigurationError("only p, r in {2, 4, inf} are supported")

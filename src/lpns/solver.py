@@ -9,14 +9,16 @@ flux reports too, at exponent DIAG_EXPONENT.
 
 A dealiased state is zero outside the retained block |k_i| <= k_max (30 % of
 the half spectrum at the 2/3 rule), so a step cuts each product transform to
-that block and does the contraction, projection and RK4 combination there.
-Its workspace is one allocation: three block buffers, which accumulate the
-combination and take turns as stage argument and output, and a half-spectrum
-staging buffer, zero outside the block, that carries each stage argument to
-its inverse transform; about 1.9 velocity arrays in all.  A step that
-allocates its own workspace peaks below 4.5 velocity arrays.  ``simulate``
-allocates the workspace once per run and holds one state and no snapshots:
-it hands each state, uncopied, to ``on_step``.
+that block and does the contraction, projection and RK4 combination there,
+with integrating factors cached on the block alone; with the nonlinearity off
+it scales the block by exp(-nu |k|^2 dt).  Either way it pastes the new block
+into zeros.  Its workspace is one allocation: three block buffers, which
+accumulate the combination and take turns as stage argument and output, and a
+half-spectrum staging buffer, zero outside the block, that carries each stage
+argument to its inverse transform; about 1.9 velocity arrays in all.  A step
+that allocates its own workspace peaks below 4.5 velocity arrays.
+``simulate`` allocates the workspace once per run and holds one state and no
+snapshots: it hands each state, uncopied, to ``on_step``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     InvariantViolation,
+    LpnsError,
     ShellRangeError,
     StepSizeError,
 )
@@ -39,6 +42,7 @@ from .flux import _check_viscosity, _contract_k, _evaluate, _products, _squared_
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
+    _block_extent,
     _cut,
     _dealias_block,
     _lattice,
@@ -108,19 +112,11 @@ def _cfl_check(phys, grid, dt):
 
 
 @functools.lru_cache(maxsize=4)
-def _integrating_factors(n, nu, dt):
-    """Read-only exp(-nu |k|^2 dt) and exp(-nu |k|^2 dt / 2) on the half spectrum."""
-    k2 = _lattice(n)[3]
+def _block_factors(n, k_max, nu, dt):
+    """Read-only exp(-nu |k|^2 dt) and exp(-nu |k|^2 dt / 2) on the retained block."""
+    k2 = _cut(_lattice(n)[3], _block_extent(n, k_max))
     e_full = np.exp(-nu * k2 * dt)
     e_half = np.exp(-nu * k2 * (0.5 * dt))
-    e_full.flags.writeable = e_half.flags.writeable = False
-    return e_full, e_half
-
-
-@functools.lru_cache(maxsize=4)
-def _block_factors(n, k_max, nu, dt):
-    """Read-only ``_integrating_factors`` cut to the retained block."""
-    e_full, e_half = (_cut(e, _dealias_block(n, k_max)[0]) for e in _integrating_factors(n, nu, dt))
     e_full.flags.writeable = e_half.flags.writeable = False
     return e_full, e_half
 
@@ -128,7 +124,7 @@ def _block_factors(n, k_max, nu, dt):
 def _workspace(grid):
     """The step's buffers acc, a and b, each (3, *block shape), and the staging
     buffer, (3, n, n, n/2 + 1), carved from one allocation."""
-    lo, hi, depth = _dealias_block(grid.n, grid.k_max)[0]
+    lo, hi, depth = _block_extent(grid.n, grid.k_max)
     block = (3, lo + hi, lo + hi, depth)
     size = math.prod(block)
     flat = np.empty(3 * size + 3 * math.prod(grid.spectral_shape), dtype=np.complex128)
@@ -154,11 +150,11 @@ def step(u: SpectralVelocity, params: SolverParams, *, _work=None) -> SpectralVe
     dt = params.dt
     phys = _physical(u.coeffs)
     _cfl_check(phys, grid, dt)
-    if not params.nonlinear_enabled:
-        e_full = _integrating_factors(grid.n, params.nu, dt)[0]
-        return SpectralVelocity(grid, u.coeffs * e_full, u.time + dt)
-    extent = _dealias_block(grid.n, grid.k_max)[0]
+    extent = _block_extent(grid.n, grid.k_max)
     e_full, e_half = _block_factors(grid.n, grid.k_max, params.nu, dt)
+    if not params.nonlinear_enabled:
+        new = _paste(e_full * _cut(u.coeffs, extent), extent, np.zeros_like(u.coeffs))
+        return SpectralVelocity(grid, new, u.time + dt)
     acc, a, b, stage = _workspace(grid) if _work is None else _work
     stage[...] = 0.0
     c = u.coeffs
@@ -248,9 +244,9 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
     to ``on_step(i, u)``.  ``u`` is not a copy, so the hook must not write to
     it; neither ``step`` nor a row does.  ``final`` is ``u0`` when t_end = 0.
 
-    A StepSizeError or DivergenceError raised during the march carries the
-    partial result as its ``result`` attribute: the rows taken before it, with
-    ``final`` the last finite state."""
+    Any LpnsError raised during the march, by a step, a row or ``on_step``,
+    carries the partial result as its ``result`` attribute: the rows taken
+    before it, with ``final`` the last finite state."""
     _validate_initial(u0)
     if bank is None:
         bank = build_filter_bank(u0.grid)
@@ -259,10 +255,11 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
         raise ConfigurationError("t_end must be an integer multiple of dt")
     u = u0
     work = _workspace(u.grid)
-    rows = [_sample_row(u, bank, params.nu)]
-    if on_step is not None:
-        on_step(0, u)
+    rows = []
     try:
+        rows.append(_sample_row(u, bank, params.nu))
+        if on_step is not None:
+            on_step(0, u)
         for i in range(1, n_steps + 1):
             new = step(u, params, _work=work)
             if not np.all(np.isfinite(new.coeffs.view(np.float64))):
@@ -275,7 +272,7 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
                 rows.append(_sample_row(u, bank, params.nu))
             if on_step is not None:
                 on_step(i, u)
-    except (StepSizeError, DivergenceError) as exc:
+    except LpnsError as exc:
         exc.result = SimulationResult(params=params, rows=rows, final=u)
         raise
     return SimulationResult(params=params, rows=rows, final=u)

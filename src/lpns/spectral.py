@@ -21,12 +21,13 @@ forward transform and the O(n^6) oracle's kernel goes through them.  The
 lattice is stored once per n (``_lattice``): the integer wavenumber axes
 shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
 half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also
-the filter bank's index into its radial tables, and the half-spectrum weight.
-``_cut`` and ``_paste`` are the one four-corner block copy, the modes with
-every |k_i| within a cutoff: a shell's cube in the flux diagnostics, and the
-retained dealiased block in the time step, whose extent and read-only lattice
-``_dealias_block`` caches.  ``_solenoidal_noise`` is the one random draw
-behind both random-field generators.
+the filter bank's index into its radial tables, and the half-spectrum weight;
+no other module keeps a lattice table.  ``_cut`` and ``_paste`` are the one
+four-corner block copy, the modes with every |k_i| within a cutoff: a shell's
+cube in the flux diagnostics, or the retained block |k_i| <= k_max, which
+``_block_extent`` alone defines; ``dealias`` keeps it, ``is_dealiased`` tests
+the slabs outside it and ``_dealias_block`` caches its lattice for the step.
+``_solenoidal_noise`` is the one random draw behind both random-field generators.
 """
 
 from __future__ import annotations
@@ -95,25 +96,29 @@ def _paste(block, extent, out):
     return out
 
 
+def _block_extent(n, k_max):
+    """(lo, hi, depth) of the retained block |k_i| <= k_max.  At k_max = n/2,
+    lo = n/2 keeps the Nyquist row once, and the block is the whole half spectrum."""
+    return min(k_max + 1, n - k_max), k_max, k_max + 1
+
+
+def _keep_block(c, grid):
+    """c on the retained block, plus 0.0, and +0 elsewhere, as a new array."""
+    out = np.zeros(c.shape, dtype=c.dtype)
+    for _, f in _corners(grid.n, *_block_extent(grid.n, grid.k_max)):
+        np.add(c[f], 0.0, out=out[f])  # -0.0 + 0.0 is +0.0: no -0 is kept, as in a zero field
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _dealias_block(n, k_max):
-    """The block |k_i| <= k_max: its extent and its read-only (kx, ky, kz) and
-    1/|k|^2.  At k_max = n/2, lo = n/2 keeps the Nyquist row once, and the
-    block is the whole half spectrum."""
-    lo, hi, depth = extent = (min(k_max + 1, n - k_max), k_max, k_max + 1)
+    """The retained block: its extent and its read-only (kx, ky, kz) and 1/|k|^2."""
+    lo, hi, depth = extent = _block_extent(n, k_max)
     kx, _, kz = _lattice(n)[:3]
     axis = np.concatenate((kx[:lo], kx[n - hi :]))
     inv = _cut(_inverse_k2(n), extent)
     axis.flags.writeable = inv.flags.writeable = False
     return extent, (axis, axis.reshape(1, -1, 1), kz[..., :depth]), inv
-
-
-@functools.lru_cache(maxsize=16)
-def _dealias_mask(n, k_max):
-    kx, ky, kz = _lattice(n)[:3]
-    mask = (np.abs(kx) <= k_max) & (np.abs(ky) <= k_max) & (np.abs(kz) <= k_max)
-    mask.flags.writeable = False
-    return mask
 
 
 @dataclass(frozen=True)
@@ -153,10 +158,6 @@ class GridSpec:
     def k_squared(self):
         """Integer |k|^2 on the half spectrum (int64, read-only)."""
         return _lattice(self.n)[3]
-
-    def dealias_mask(self):
-        """Boolean mask of modes with max-norm |k_i| <= k_max."""
-        return _dealias_mask(self.n, self.k_max)
 
 
 @dataclass
@@ -258,9 +259,7 @@ def leray_project(u: SpectralVelocity) -> SpectralVelocity:
 
 def dealias(u: SpectralVelocity) -> SpectralVelocity:
     """Zero every coefficient with max-norm |k_i| > k_max (2/3-rule projection)."""
-    coeffs = u.coeffs * u.grid.dealias_mask()
-    coeffs += 0.0  # -0.0 + 0.0 is +0.0: the masked modes are +0, as in a zero field
-    return SpectralVelocity(u.grid, coeffs, u.time)
+    return SpectralVelocity(u.grid, _keep_block(u.coeffs, u.grid), u.time)
 
 
 def zero_mean(u: SpectralVelocity) -> SpectralVelocity:
@@ -270,12 +269,12 @@ def zero_mean(u: SpectralVelocity) -> SpectralVelocity:
 
 
 def is_dealiased(u: SpectralVelocity) -> bool:
-    """No coefficient with max-norm |k_i| > k_max.  The modes outside the mask are
+    """No coefficient with max-norm |k_i| > k_max.  The modes outside the block are
     the slabs |kx| > k_max, |ky| > k_max and kz > k_max, tested as views."""
-    n, k_max = u.grid.n, u.grid.k_max
-    outside = slice(k_max + 1, n - k_max)  # |k| > k_max in FFT order
+    lo, hi, depth = _block_extent(u.grid.n, u.grid.k_max)
+    outside = slice(lo, u.grid.n - hi)  # |k| > k_max in FFT order
     c = u.coeffs
-    return not (np.any(c[:, outside]) or np.any(c[:, :, outside]) or np.any(c[..., k_max + 1 :]))
+    return not (np.any(c[:, outside]) or np.any(c[:, :, outside]) or np.any(c[..., depth:]))
 
 
 def l2_norm(u: SpectralVelocity) -> float:
@@ -357,8 +356,7 @@ def _solenoidal_noise(grid: GridSpec, seed: int) -> np.ndarray:
 
 def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> SpectralVelocity:
     """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
-    coeffs = _solenoidal_noise(grid, seed) * grid.dealias_mask()
-    coeffs += 0.0  # the masked modes are +0, as in dealias
+    coeffs = _keep_block(_solenoidal_noise(grid, seed), grid)
     coeffs[:, 0, 0, 0] = 0.0
     coeffs *= l2 / l2_norm(SpectralVelocity(grid, coeffs))
     return SpectralVelocity(grid, coeffs)

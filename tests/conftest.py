@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from lpns import _fft
 from lpns.lp import build_filter_bank
-from lpns.spectral import GridSpec, SpectralVelocity, dealias, leray_project
+from lpns.spectral import GridSpec, SpectralVelocity, _lattice, dealias, leray_project
 from lpns.verify import random_solenoidal_field
 
 # Property tests draw the same examples on every run and keep no example
@@ -81,6 +81,26 @@ def count_transforms(call):
     return count
 
 
+def dealias_mask(grid):
+    """The retained modes |k_i| <= k_max of the half spectrum as a boolean mask,
+    written from the lattice: the reference for the dealiased block."""
+    kx, ky, kz = _lattice(grid.n)[:3]
+    return (np.abs(kx) <= grid.k_max) & (np.abs(ky) <= grid.k_max) & (np.abs(kz) <= grid.k_max)
+
+
+def negative_zero_noise(grid, seed, scale=1.0):
+    """Standard-normal half-spectrum coefficients times scale, with -0.0 as the real
+    part of about a third of them and as the imaginary part of another third, both
+    inside and outside the retained block."""
+    rng = np.random.default_rng(seed)
+    shape = (3, *grid.spectral_shape)
+    coeffs = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    pick = rng.integers(0, 3, shape)
+    coeffs.real[pick == 0] = -0.0
+    coeffs.imag[pick == 1] = -0.0
+    return coeffs
+
+
 def half_spectrum(full):
     """The stored half 0 <= kz <= n/2 of full-lattice coefficients (..., n, n, n)."""
     return np.ascontiguousarray(full[..., : full.shape[-1] // 2 + 1])
@@ -125,5 +145,5 @@ def mode_keyed_field(n, seed, kcap=10, decay=0.02):
     return dealias(u)
 
 
-__all__ = ["count_transforms", "half_spectrum", "mode_keyed_field", "peak_allocation",
-           "random_solenoidal_field", "single_mode_field"]
+__all__ = ["count_transforms", "dealias_mask", "half_spectrum", "mode_keyed_field",
+           "negative_zero_noise", "peak_allocation", "random_solenoidal_field", "single_mode_field"]

@@ -176,6 +176,25 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out / name) in err
 
+    def test_unwritable_snapshot_mid_run_keeps_the_rows(self, tmp_path, capsys):
+        """A snapshot that cannot be written at step 5 exits 2, and the run still
+        writes the rows of steps 0-5 and a manifest that records the failure."""
+        out = tmp_path / "out"
+        (out / "snapshot_00000005.lpns").mkdir(parents=True)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, diag_every=1, snapshot_every=5)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / "snapshot_00000005.lpns") in err
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == EXPECTED_HEADER + ",Eq0,Eq1,Eq2,Eq3,Eq4"
+        assert len(lines) == 1 + 6
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["kind"] == "ConfigurationError"
+        assert manifest["last_good_time"] == pytest.approx(5e-3)
+
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"n = 16\nnu = \xff\n")

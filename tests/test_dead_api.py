@@ -1,10 +1,11 @@
-"""Every public function and method of lpns has a caller in the package.
+"""Every function and method of lpns has a caller in the package.
 
-A public function (module level, no leading underscore) or method (class
-level, no leading underscore) defined in ``src/lpns`` must be referenced in
-``src/lpns`` outside its own definition and ``__init__.py``, unless
+A function (module level) or method (class level) defined in ``src/lpns``,
+public or private but not a dunder, must be referenced in ``src/lpns``
+outside its own definition and ``__init__.py``, unless
 ``tests/test_acceptance.py`` imports it.  An export from ``__init__.py`` is
-not a caller.  References are matched by name, as a bare name or an
+not a caller, and neither is a test: a private helper kept only for tests
+fails the guard.  References are matched by name, as a bare name or an
 attribute, so a method shares its references with every attribute of that
 name (``copy`` is one); the guard finds what no name reaches.
 """
@@ -19,14 +20,18 @@ PACKAGE = TESTS.parent / "src" / "lpns"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def public_definitions(tree):
-    """(qualified name, node) of each public module-level function and method."""
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """(qualified name, node) of each module-level function and method, dunders excepted."""
     for node in tree.body:
-        if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+        if isinstance(node, FUNCTIONS) and not is_dunder(node.name):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                if isinstance(item, FUNCTIONS) and not is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -54,7 +59,7 @@ def acceptance_imports():
 
 
 def uncalled(package=PACKAGE):
-    """Public functions and methods of the package that nothing reaches."""
+    """Functions and methods of the package that nothing reaches."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     found = defaultdict(list)
@@ -63,7 +68,7 @@ def uncalled(package=PACKAGE):
     imported = acceptance_imports()
     return [f"{module}.{qualname}"
             for module, tree in trees.items()
-            for qualname, node in public_definitions(tree)
+            for qualname, node in definitions(tree)
             if node.name not in imported
             and not any(node not in enclosing for enclosing in found[node.name])]
 
@@ -75,8 +80,9 @@ def test_every_public_function_has_a_caller():
 def test_guard_reports_a_function_only_its_own_body_calls(tmp_path):
     (tmp_path / "__init__.py").write_text("from .mod import used, dead\n")
     (tmp_path / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "def used():\n    return Box()._hidden()\n\n\n"
         "def dead(n):\n    return dead(n - 1) if n else used()\n\n\n"
+        "def _kept_for_tests():\n    return 2\n\n\n"
         "class Box:\n    def size(self):\n        return 0\n\n    def _hidden(self):\n"
-        "        return self.size()\n")
-    assert uncalled(tmp_path) == ["mod.dead"]
+        "        return self.size()\n\n    def __len__(self):\n        return 0\n")
+    assert uncalled(tmp_path) == ["mod.dead", "mod._kept_for_tests"]

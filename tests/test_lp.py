@@ -6,6 +6,7 @@ import pytest
 
 from lpns.errors import ConfigurationError, ShellRangeError, UndefinedRatioError
 from lpns.lp import (
+    FilterBank,
     bernstein_ratio,
     build_filter_bank,
     decompose,
@@ -88,15 +89,24 @@ class TestFilterBank:
             assert np.max(np.abs(phi_profile(nonzero, q))) == 0.0
 
     def test_shell_range_error(self, bank16):
-        with pytest.raises(ShellRangeError):
-            bank16.multiplier(5)
-        with pytest.raises(ShellRangeError):
-            bank16.multiplier(-1)
+        for q in (5, -1):
+            with pytest.raises(ShellRangeError):
+                bank16.multiplier(q)
+            with pytest.raises(ShellRangeError):
+                bank16.check_shell(q)
+        for q in bank16.shells:
+            bank16.check_shell(q)
 
 
 class TestRadialTables:
     def test_bank_indexes_the_grid_lattice(self, grid32):
-        assert build_filter_bank(grid32).k2 is grid32.k_squared()
+        """The bank holds only its grid, range and radial tables; its lattice index
+        is the grid's own |k|^2."""
+        bank = build_filter_bank(grid32)
+        assert [f.name for f in dataclasses.fields(bank)] == ["grid", "q_max", "phi", "phi_sq"]
+        assert bank.q_min == FilterBank.q_min == 0
+        for q in bank.shells:
+            assert np.array_equal(bank.multiplier(q), bank.phi[q][grid32.k_squared()])
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_gathered_multiplier_is_profile_on_lattice(self, n):
@@ -245,7 +255,7 @@ class TestSobolevNorm:
         within [c^2 ||u||_2^2, ||u||_2^2], c from the bank."""
         kmag = np.sqrt(bank32.grid.k_squared())
         sel = (kmag > 0) & (kmag <= bank32.grid.k_max)
-        c = math.sqrt(np.min(np.sum(bank32.phi_sq, axis=0)[bank32.k2][sel]))
+        c = math.sqrt(np.min(np.sum(bank32.phi_sq, axis=0)[bank32.grid.k_squared()][sel]))
         assert 0 < c <= 1
         for seed in range(5):
             u = random_solenoidal_field(grid32, seed)

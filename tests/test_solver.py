@@ -19,7 +19,7 @@ from lpns.solver import (
     CFL_CONSTANT,
     DIAG_EXPONENT,
     SolverParams,
-    _integrating_factors,
+    _block_factors,
     _nonlinear_hat,
     _sample_row,
     _workspace,
@@ -43,7 +43,8 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import count_transforms, peak_allocation, random_solenoidal_field, single_mode_field
+from conftest import (count_transforms, dealias_mask, negative_zero_noise, peak_allocation,
+                      random_solenoidal_field, single_mode_field)
 
 
 def single_mode_shear(grid, amplitude=1.0):
@@ -68,7 +69,7 @@ def reference_nonlinear_hat(coeffs, grid):
     out[1] = kx * what[1] + ky * what[3] + kz * what[4]
     out[2] = kx * what[2] + ky * what[4] + kz * what[5]
     out *= -1j
-    out *= grid.dealias_mask()
+    out *= dealias_mask(grid)
     inv = np.zeros(k2.shape)
     np.divide(1.0, k2, out=inv, where=k2 > 0)
     div = kx * out[0] + ky * out[1] + kz * out[2]
@@ -82,7 +83,9 @@ def reference_nonlinear_hat(coeffs, grid):
 def reference_step(u, params):
     """The integrating-factor RK4 step as written out, with fresh arrays."""
     c, dt = u.coeffs, params.dt
-    e_full, e_half = _integrating_factors(u.grid.n, params.nu, dt)
+    k2 = _lattice(u.grid.n)[3]
+    e_full = np.exp(-params.nu * k2 * dt)
+    e_half = np.exp(-params.nu * k2 * (0.5 * dt))
 
     def nonlinear(x):
         return reference_nonlinear_hat(x, u.grid)
@@ -111,13 +114,23 @@ class TestParams:
 
 class TestStep:
     def test_heat_limit_exact(self, grid16):
-        """With the nonlinearity off each mode decays by exp(-nu k^2 dt) exactly."""
+        """With the nonlinearity off each mode decays by exp(-nu k^2 dt) exactly:
+        c exp(-nu k^2 dt) byte for byte on the block and +0 outside it, also for
+        coefficients with -0 parts at every dealias fraction."""
         u = single_mode_shear(grid16)
         params = SolverParams(nu=1.0, dt=0.1, t_end=1.0, nonlinear_enabled=False)
         out = step(u, params)
         expected = u.coeffs * math.exp(-1.0 * 1.0 * 0.1)
         assert np.array_equal(out.coeffs, expected)
         assert out.time == pytest.approx(0.1)
+        params = SolverParams(nu=0.5, dt=1e-4, t_end=1e-4, nonlinear_enabled=False)
+        for n in (16, 32):
+            for fraction in (2.0 / 3.0, 0.5, 1.0):
+                grid = GridSpec(n, fraction)
+                c = negative_zero_noise(grid, n, scale=1e-4)
+                expected = c * np.exp(-0.5 * _lattice(n)[3] * 1e-4)
+                expected[:, ~dealias_mask(grid)] = 0.0
+                assert step(SpectralVelocity(grid, c), params).coeffs.tobytes() == expected.tobytes()
 
     def test_single_mode_nonlinear_run_matches_heat(self, grid16):
         """A single shear mode has vanishing self-advection, so the nonlinear
@@ -131,13 +144,15 @@ class TestStep:
         assert np.max(np.abs(out.coeffs - expected)) < 1e-13
 
     def test_integrating_factors_cached_read_only(self):
-        """Both factors are computed once per (n, nu, dt), with the step's formulas."""
-        e_full, e_half = _integrating_factors(16, 0.3, 1e-3)
-        k2 = _lattice(16)[3]
-        assert np.array_equal(e_full, np.exp(-0.3 * k2 * 1e-3))
-        assert np.array_equal(e_half, np.exp(-0.3 * k2 * (0.5 * 1e-3)))
+        """Both factors are computed once per (n, k_max, nu, dt), bit for bit the
+        step's formulas on the block's |k|^2."""
+        k_max = GridSpec(16).k_max
+        e_full, e_half = _block_factors(16, k_max, 0.3, 1e-3)
+        k2 = _cut(_lattice(16)[3], _dealias_block(16, k_max)[0])
+        assert e_full.tobytes() == np.exp(-0.3 * k2 * 1e-3).tobytes()
+        assert e_half.tobytes() == np.exp(-0.3 * k2 * (0.5 * 1e-3)).tobytes()
         assert not e_full.flags.writeable and not e_half.flags.writeable
-        again = _integrating_factors(16, 0.3, 1e-3)
+        again = _block_factors(16, k_max, 0.3, 1e-3)
         assert again[0] is e_full and again[1] is e_half
 
     @pytest.mark.parametrize("n,fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5), (16, 1.0)])
@@ -159,15 +174,16 @@ class TestStep:
         """A mask multiply leaves -0 on masked modes.  The step matches the formula
         bit for bit on the block and in value everywhere, and writes +0 outside."""
         grid = GridSpec(32)
-        coeffs = _solenoidal_noise(grid, 4) * grid.dealias_mask()
+        mask = dealias_mask(grid)
+        coeffs = _solenoidal_noise(grid, 4) * mask
         coeffs[:, 0, 0, 0] = 0.0
         u = SpectralVelocity(grid, coeffs)
-        assert np.any(np.signbit(coeffs[:, ~grid.dealias_mask()].real))
+        assert np.any(np.signbit(coeffs[:, ~mask].real))
         params = SolverParams(nu=0.05, dt=1e-3, t_end=1e-3)
         out, expected = step(u, params).coeffs, reference_step(u, params)
         extent = _dealias_block(grid.n, grid.k_max)[0]
         assert _cut(out, extent).tobytes() == _cut(expected, extent).tobytes()
-        outside = out[:, ~grid.dealias_mask()]
+        outside = out[:, ~mask]
         assert not np.any(np.signbit(outside.real)) and not np.any(np.signbit(outside.imag))
         assert np.array_equal(out, expected)
 

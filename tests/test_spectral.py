@@ -9,12 +9,14 @@ from lpns.lp import build_filter_bank, phi_profile, shell_energies
 from lpns.spectral import (
     BOX_VOLUME,
     GridSpec,
+    _block_extent,
     _cut,
     _dealias_block,
     _inverse_k2,
     _lattice,
     _paste,
     _project_coeffs,
+    _solenoidal_noise,
     PhysicalVelocity,
     SpectralVelocity,
     dealias,
@@ -33,7 +35,8 @@ from lpns.spectral import (
     zero_velocity,
 )
 
-from conftest import half_spectrum, peak_allocation, random_solenoidal_field, single_mode_field
+from conftest import (dealias_mask, half_spectrum, negative_zero_noise, peak_allocation,
+                      random_solenoidal_field, single_mode_field)
 
 
 class TestGridSpec:
@@ -260,7 +263,7 @@ class TestDealias:
         |kx| > k_max, |ky| > k_max and kz > k_max and inside the mask, against
         the gathered-mask reference."""
         grid = GridSpec(16, fraction)
-        mask = grid.dealias_mask()
+        mask = dealias_mask(grid)
         u = zero_velocity(grid)
         assert is_dealiased(u)
         for index in np.ndindex(mask.shape):
@@ -287,12 +290,14 @@ class TestDealias:
         once = dealias(u)
         assert np.array_equal(once.coeffs, dealias(once).coeffs)
 
-    @pytest.mark.parametrize("n,seed", [(32, 1), (64, 3)])
+    @pytest.mark.parametrize("n,seed", [(16, 5), (32, 1), (64, 3)])
     def test_masked_modes_are_positive_zero(self, n, seed):
         """Neither dealias nor random_solenoidal_field leaves a sign bit set on a
-        masked mode: a mask multiply alone writes -0 there."""
+        masked mode: a mask multiply alone writes -0 there.  Both equal a mask
+        multiply plus 0.0 byte for byte, also on coefficients with -0 parts
+        inside and outside the block, at every dealias fraction."""
         grid = GridSpec(n)
-        outside = ~grid.dealias_mask()
+        outside = ~dealias_mask(grid)
         noise = forward_transform(
             PhysicalVelocity(grid, np.random.default_rng(seed).standard_normal((3, n, n, n)))
         )
@@ -300,6 +305,18 @@ class TestDealias:
             masked = u.coeffs[:, outside]
             assert not np.any(masked)
             assert not np.any(np.signbit(masked.real)) and not np.any(np.signbit(masked.imag))
+        for fraction in (2.0 / 3.0, 0.5, 1.0):
+            grid = GridSpec(n, fraction)
+            mask = dealias_mask(grid)
+            c = negative_zero_noise(grid, seed)
+            expected = c * mask
+            expected += 0.0
+            assert dealias(SpectralVelocity(grid, c)).coeffs.tobytes() == expected.tobytes()
+            expected = _solenoidal_noise(grid, seed) * mask
+            expected += 0.0
+            expected[:, 0, 0, 0] = 0.0
+            expected *= 1.0 / l2_norm(SpectralVelocity(grid, expected))
+            assert random_solenoidal_field(grid, seed).coeffs.tobytes() == expected.tobytes()
 
 
 class TestDealiasBlock:
@@ -310,6 +327,7 @@ class TestDealiasBlock:
         grid = GridSpec(n, fraction)
         extent, (kx, ky, kz), inv = _dealias_block(n, grid.k_max)
         lo, hi, depth = extent
+        assert extent == _block_extent(n, grid.k_max)
         assert lo + hi == (2 * grid.k_max + 1 if grid.k_max < n // 2 else n)
         assert np.array_equal(np.sort(kx.ravel()), np.unique(kx))  # each row once
         assert np.max(np.abs(kx)) == grid.k_max and np.array_equal(kz.ravel(), np.arange(depth))
@@ -324,7 +342,7 @@ class TestDealiasBlock:
         block = _cut(c, extent)
         assert block.shape == (3, lo + hi, lo + hi, depth)
         pasted = _paste(block, extent, np.zeros_like(c))
-        assert pasted.tobytes() == np.where(grid.dealias_mask(), c, 0.0).tobytes()
+        assert pasted.tobytes() == np.where(dealias_mask(grid), c, 0.0).tobytes()
         dealiased = dealias(SpectralVelocity(grid, c)).coeffs
         assert _paste(_cut(dealiased, extent), extent, np.zeros_like(c)).tobytes() == dealiased.tobytes()
 
