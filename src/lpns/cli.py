@@ -263,7 +263,6 @@ def cmd_simulate(args) -> int:
             raise
         result, failure = exc.result, exc
     columns = [*(name for name, _ in CSV_COLUMNS), *(f"Eq{q}" for q in bank.shells)]
-    _write_csv(out_dir / "diagnostics.csv", columns, result.rows)
     # vars, not dataclasses.asdict: the fields are plain values, and asdict's deep
     # copy costs more than the rest of the manifest.
     config = {**vars(cfg), "spectrum": {str(k): v for k, v in (cfg.spectrum or {}).items()}}
@@ -281,7 +280,15 @@ def cmd_simulate(args) -> int:
     if failure is not None:
         manifest["error"] = {"kind": type(failure).__name__, "message": str(failure)}
         manifest["last_good_time"] = result.final.time
-    _dump_json(manifest, out_dir / "run_manifest.json")
+    for write, *write_args in ((_write_csv, out_dir / "diagnostics.csv", columns, result.rows),
+                               (_dump_json, manifest, out_dir / "run_manifest.json")):
+        try:
+            write(*write_args)
+        except ConfigurationError as exc:
+            if failure is None:
+                raise
+            # After a failed march the run's own error decides the exit code.
+            print(f"error: {exc}", file=sys.stderr)
     if failure is not None:
         raise failure
     return 0

@@ -13,6 +13,10 @@ the Riccati sides, the trisums and the flux sum each have one formula; the
 Lemma-1 sums behind the trisums and the report rows are :func:`_lemma1_terms`.
 One shell-field generator, :func:`_shell_fields`, builds the grid values of
 each u_q once; the L4 norms and the report's remainders both read them.
+
+Six-component tensors are built one component at a time.  A report holds one,
+the product tensor (u o u)^, and takes each shell's remainder norm inside its
+:func:`remainder` call one component at a time, so no remainder tensor is held.
 """
 
 from __future__ import annotations
@@ -64,8 +68,15 @@ def _products(phys):
 
 
 def product_tensor_hat(u: SpectralVelocity, phys=None) -> np.ndarray:
-    """Coefficients of the pointwise tensor u_i u_j, upper-triangle components."""
-    return _hat(np.stack(list(_products(_physical(u.coeffs) if phys is None else phys))))
+    """Coefficients of the pointwise tensor u_i u_j, upper-triangle components.
+
+    Each product is transformed on its own and written into the result, so no
+    six-component physical tensor is held."""
+    hats = _product_hats(_physical(u.coeffs) if phys is None else phys)
+    out = np.empty((len(SYM_PAIRS), *u.coeffs.shape[1:]), dtype=complex)
+    for m in range(len(SYM_PAIRS)):
+        out[m] = next(hats)  # a for loop over hats would hold the previous one
+    return out
 
 
 def _contract_k(components, k, out=None) -> np.ndarray:
@@ -92,24 +103,39 @@ def _product_hats(phys):
     return map(_hat, _products(phys))
 
 
+def _remainder_component(phys, what, mult, uq_phys, m, out=None):
+    """Component m of r_q, written into ``out`` when given: mult (u o u)^_m less
+    the transform of its two cross terms."""
+    i, j = SYM_PAIRS[m]
+    c = np.multiply(mult, what[m], out=out)
+    c -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
+    return c
+
+
 def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None,
-              _uq_phys=None) -> np.ndarray:
+              _uq_phys=None, _l2=False):
     """Remainder tensor r_q(u, u) = (u o u)_q - u_q o u - u o u_q (spectral).
 
     ``_phys``, ``_what`` and ``_uq_phys`` are the caller's grid values of u, the
     coefficients of its product tensor and the n-point grid values of u_q (any
     sequence of three components); each is read, never written, and computed
-    here when not given.  The cross terms are transformed one component at a
-    time, so no six-component physical tensor is held."""
+    here when not given.  u_q's grid values are transformed one component at a
+    time, and so are the cross terms, so no six-component physical tensor is
+    held.  With ``_l2`` the result is :func:`tensor_l2_norm` of the tensor,
+    reduced one component at a time inside this call: no six-component tensor
+    is held at all."""
     bank.check_shell(q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
     mult = bank.multiplier(q)
-    uq_phys = _physical(u.coeffs * mult) if _uq_phys is None else _uq_phys
-    out = mult * what
-    for m, (i, j) in enumerate(SYM_PAIRS):
-        out[m] -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
+    uq_phys = [_physical(c * mult) for c in u.coeffs] if _uq_phys is None else _uq_phys
+    args = (phys, what, mult, uq_phys)
+    if _l2:
+        return tensor_l2_norm(_remainder_component(*args, m) for m in range(len(SYM_PAIRS)))
+    out = np.empty((len(SYM_PAIRS), *mult.shape), dtype=complex)
+    for m in range(len(SYM_PAIRS)):
+        _remainder_component(*args, m, out[m])
     return out
 
 
@@ -139,9 +165,10 @@ def remainder_direct(u: SpectralVelocity, bank: FilterBank, q: int) -> np.ndarra
 
 
 def tensor_l2_norm(tensor_hat) -> float:
-    """Frobenius L2 norm of a symmetric spectral tensor field, summed one
-    upper-triangle component at a time."""
-    sums = np.array([_lattice_sum(np.abs(c) ** 2) for c in tensor_hat])
+    """Frobenius L2 norm of a symmetric spectral tensor field, stacked or as an
+    iterable of its upper-triangle components, summed one component at a time;
+    ``map`` holds no component once it is summed."""
+    sums = np.array(list(map(lambda c: _lattice_sum(np.abs(c) ** 2), tensor_hat)))
     return math.sqrt(float(np.sum(SYM_WEIGHTS * sums)))
 
 
@@ -417,7 +444,7 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     for q, m, values in _shell_fields(u, bank) if rows else ():
         l4[q - bank.q_min] = _l4_norm(values, m)
         uq_phys = values if m == u.grid.n else None
-        remainder_l2.append(tensor_l2_norm(remainder(u, bank, q, _phys=phys, _what=what, _uq_phys=uq_phys)))
+        remainder_l2.append(remainder(u, bank, q, _phys=phys, _what=what, _uq_phys=uq_phys, _l2=True))
         del values, uq_phys  # before the next shell is cut
     lams = bank.lambdas()
     terms = _lemma1_terms(np.sqrt(energies), l4, lams)

@@ -310,17 +310,25 @@ def divergence_residual(u: SpectralVelocity) -> float:
 
     Modes below 1e-13 of the peak coefficient magnitude carry no field content
     and are excluded, so transform round-off junk does not dominate the ratio.
+    |u_hat| and k . u_hat are summed one component at a time, in place, so no
+    three-component temporary is made.
     """
     kx, ky, kz, k2, _ = _lattice(u.grid.n)
-    vecmag = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=0))
+    c = u.coeffs
+    vecmag = np.abs(c[0]) ** 2
+    vecmag += np.abs(c[1]) ** 2
+    vecmag += np.abs(c[2]) ** 2
+    np.sqrt(vecmag, out=vecmag)
     scale = float(np.max(vecmag))
     if scale == 0.0:
         return 0.0
     good = (k2 > 0) & (vecmag > 1e-13 * scale)
     if not np.any(good):
         return 0.0
-    num = np.abs(kx * u.coeffs[0] + ky * u.coeffs[1] + kz * u.coeffs[2])
-    return float(np.max(num[good] / (np.sqrt(k2[good]) * vecmag[good])))
+    div = kx * c[0]
+    div += ky * c[1]
+    div += kz * c[2]
+    return float(np.max(np.abs(div[good]) / (np.sqrt(k2[good]) * vecmag[good])))
 
 
 def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:

@@ -195,6 +195,62 @@ class TestSimulateCommand:
         assert manifest["error"]["kind"] == "ConfigurationError"
         assert manifest["last_good_time"] == pytest.approx(5e-3)
 
+    def test_unwritable_csv_after_a_failed_snapshot_keeps_the_run_error(self, tmp_path, capsys):
+        """A snapshot fails at step 5 and diagnostics.csv cannot be written either:
+        both errors are printed, the snapshot's decides the exit code, and the
+        manifest still records it."""
+        out = tmp_path / "out"
+        (out / "snapshot_00000005.lpns").mkdir(parents=True)
+        (out / "diagnostics.csv").mkdir()
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, diag_every=1, snapshot_every=5)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+        assert str(out / "diagnostics.csv") in lines[0]
+        assert str(out / "snapshot_00000005.lpns") in lines[1]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["kind"] == "ConfigurationError"
+        assert str(out / "snapshot_00000005.lpns") in manifest["error"]["message"]
+        assert manifest["last_good_time"] == pytest.approx(5e-3)
+
+    @pytest.mark.parametrize("unwritable", [("diagnostics.csv",), ("run_manifest.json",),
+                                            ("diagnostics.csv", "run_manifest.json")],
+                             ids=["csv", "manifest", "both"])
+    def test_unwritable_output_after_a_numerical_failure_exits_3(self, tmp_path, capsys,
+                                                                 monkeypatch, unwritable):
+        """A step-size failure on the third step still exits 3 when an output file
+        cannot be written; each write error is printed, and the file that can be
+        written is."""
+        real_step = lpns.solver.step
+        calls = {"n": 0}
+
+        def failing(u, params, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise StepSizeError("dt violates the CFL bound", admissible_dt=1e-4)
+            return real_step(u, params, **kwargs)
+
+        monkeypatch.setattr(lpns.solver, "step", failing)
+        out = tmp_path / "out"
+        for name in unwritable:
+            (out / name).mkdir(parents=True)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, diag_every=1)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == ["error:"] * len(unwritable) + ["numerical"]
+        assert all(str(out / name) in line for name, line in zip(unwritable, lines))
+        assert "dt violates the CFL bound" in lines[-1]
+        if "diagnostics.csv" not in unwritable:
+            assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+        if "run_manifest.json" not in unwritable:
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["status"] == "failed"
+            assert manifest["error"]["kind"] == "StepSizeError"
+            assert manifest["last_good_time"] == pytest.approx(2e-3)
+
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"n = 16\nnu = \xff\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lpns import flux
 from lpns.errors import ConfigurationError, ShellRangeError
 from lpns.flux import (
     LOW_PASS_SHIFT,
@@ -28,6 +29,7 @@ from lpns.lp import build_filter_bank, lam, phi_profile, shell_project
 from lpns.spectral import (
     GridSpec,
     SpectralVelocity,
+    _hat,
     _lattice,
     make_random_field,
     make_taylor_green,
@@ -88,6 +90,25 @@ class TestTensorShell:
         u = single_mode_field(grid16, (7, 0, 0), (0, 1.0, 0))  # above k_max = 5
         with pytest.raises(ConfigurationError):
             shell_transfers(u, bank16)
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_equal_to_a_stacked_transform_bit_for_bit(self, n, fraction):
+        """Filling the tensor one product at a time changes no bit of the one
+        batched transform of all six products."""
+        u = random_solenoidal_field(GridSpec(n, dealias_fraction=fraction), 5)
+        phys = _physical(u.coeffs)
+        stacked = _hat(np.stack([phys[i] * phys[j] for i, j in SYM_PAIRS]))
+        assert product_tensor_hat(u).tobytes() == stacked.tobytes()
+        assert product_tensor_hat(u, phys).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_peak_allocation_with_given_grid_values(self, n):
+        """Given u's grid values, the tensor (2 velocity arrays) is the only
+        large allocation beside one product and its transform."""
+        u = random_solenoidal_field(GridSpec(n), 1)
+        phys = _physical(u.coeffs)
+        assert peak_allocation(lambda: product_tensor_hat(u, phys)) <= 2.75 * u.coeffs.nbytes
 
 
 class TestRemainder:
@@ -476,21 +497,55 @@ class TestShellFluxReport:
         )
 
     @pytest.mark.parametrize("n", [32, 64])
-    def test_peak_allocation_at_most_ten_velocity_arrays(self, n):
-        """The per-shell remainders transform their cross terms one component
-        at a time, so no six-component physical tensor is held."""
+    def test_peak_allocation_at_most_five_and_a_half_velocity_arrays(self, n):
+        """The product tensor is filled one component at a time, and each
+        remainder is reduced to its norm one component at a time, so the report
+        holds no six-component tensor beside the product tensor."""
         grid = GridSpec(n)
         bank = build_filter_bank(grid)
         u = random_solenoidal_field(grid, 1)
         shell_flux_report(u, bank, 1.5, 0.1)  # builds the cached lattice tables
-        assert peak_allocation(lambda: shell_flux_report(u, bank, 1.5, 0.1)) <= 10 * u.coeffs.nbytes
+        assert peak_allocation(lambda: shell_flux_report(u, bank, 1.5, 0.1)) <= 5.5 * u.coeffs.nbytes
 
-    @pytest.mark.parametrize("field", ["white-noise", "taylor-green"])
-    def test_row_remainders_equal_standalone_bit_for_bit(self, grid32, bank32, field):
-        u = random_solenoidal_field(grid32, 9) if field == "white-noise" else make_taylor_green(grid32, 1.0)
-        report = shell_flux_report(u, bank32, 1.5, 0.1)
+    @pytest.mark.parametrize("n, fraction, field", [
+        pytest.param(32, 2.0 / 3.0, "white-noise", id="white-noise"),
+        pytest.param(32, 2.0 / 3.0, "taylor-green", id="taylor-green"),
+        *(pytest.param(n, fraction, field, id=f"{field}-{n}-{label}")
+          for n, fraction, label in ((32, 0.5, "half"), (32, 1.0, "one"), (64, 0.5, "half"))
+          for field in ("white-noise", "taylor-green")),
+    ])
+    def test_row_remainders_equal_standalone_bit_for_bit(self, n, fraction, field):
+        """The report's norms, reduced one component at a time with the coarse
+        shells' u_q built one component at a time, equal the stacked tensor's."""
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 9) if field == "white-noise" else make_taylor_green(grid, 1.0)
+        report = shell_flux_report(u, bank, 1.5, 0.1)
+        assert [row.q for row in report.rows] == list(bank.shells)
         for row in report.rows:
-            assert row.remainder_l2 == tensor_l2_norm(remainder(u, bank32, row.q))
+            assert row.remainder_l2 == tensor_l2_norm(remainder(u, bank, row.q))
+
+    @pytest.mark.parametrize("n, fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5)])
+    def test_each_remainder_makes_its_transforms_inside_its_call(self, n, fraction, monkeypatch):
+        """Every call of the module-global ``remainder`` makes its shell's
+        transforms before it returns: 6 for the cross terms, and 3 more for a
+        shell whose u_q is not given on the n-point grid.  A lazy result would
+        move them outside the call, where a wrapper on ``remainder`` (as the
+        benchmark tracer installs) no longer sees them."""
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 1)
+        real_remainder = flux.remainder
+        calls = []
+
+        def counted(u, bank, q, **kwargs):
+            result = []
+            calls.append((q, count_transforms(lambda: result.append(real_remainder(u, bank, q, **kwargs)))))
+            return result[0]
+
+        monkeypatch.setattr(flux, "remainder", counted)
+        shell_flux_report(u, bank, 1.5, 0.1)
+        assert calls == [(q, 9 if 2 ** (q + 3) < n else 6) for q in bank.shells]
 
     @pytest.mark.parametrize("n, fraction, expected", [(16, 2.0 / 3.0, 57), (32, 2.0 / 3.0, 69),
                                                        (32, 0.5, 60)])
