@@ -190,13 +190,18 @@ def _initial_field(cfg: RunConfig, grid: GridSpec):
     ))))
 
 
-def _precheck_cfl(u, dt):
-    admissible = admissible_dt(inverse_transform(u).values, u.grid)
-    if dt > admissible:
+def _checked_initial_field(cfg: RunConfig, grid: GridSpec):
+    """The initial field, rejected with a configuration error when cfg.dt breaks
+    its CFL bound.  Its result goes straight into ``simulate``, so that only the
+    march holds it."""
+    u = _initial_field(cfg, grid)
+    admissible = admissible_dt(inverse_transform(u).values, grid)
+    if cfg.dt > admissible:
         raise ConfigurationError(
-            f"dt = {dt:g} violates the CFL bound for this initial condition; "
+            f"dt = {cfg.dt:g} violates the CFL bound for this initial condition; "
             f"admissible dt <= {admissible:.9g}"
         )
+    return u
 
 
 def _write_text(path, text):
@@ -239,8 +244,6 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigurationError(f"cannot use output directory {out_dir}: {exc}") from exc
     grid = GridSpec(cfg.n, cfg.dealias_fraction)
-    u0 = _initial_field(cfg, grid)
-    _precheck_cfl(u0, cfg.dt)
     params = SolverParams(
         nu=cfg.nu,
         dt=cfg.dt,
@@ -257,7 +260,7 @@ def cmd_simulate(args) -> int:
 
     failure = None
     try:
-        result = simulate(u0, params, bank, save_snapshot)
+        result = simulate(_checked_initial_field(cfg, grid), params, bank, save_snapshot)
     except LpnsError as exc:  # one raised during the march keeps its rows: write them, then re-raise
         if not hasattr(exc, "result"):
             raise

@@ -428,11 +428,16 @@ def _evaluate(u: SpectralVelocity, bank: FilterBank, s: float, nu: float, *, row
     also gives each remainder its u_q where the shell grid is the n-point one."""
     l4 = np.empty(bank.n_shells) if rows else _shell_l4_norms(u, bank)
     phys = _physical(u.coeffs)
-    # Only the rows' remainders need the stacked tensor; a trajectory row streams it.
-    what = product_tensor_hat(u, phys) if rows else _product_hats(phys)
-    e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    d_density = u.grid.k_squared() * e_density
-    t_density = _transfer_density(u, what)
+    if rows:  # the rows' remainders need phys and the stacked tensor
+        what = product_tensor_hat(u, phys)
+        e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+        d_density = u.grid.k_squared() * e_density
+        t_density = _transfer_density(u, what)
+    else:  # a trajectory row streams the tensor and holds no density beside it
+        t_density = _transfer_density(u, _product_hats(phys))
+        del phys
+        e_density = np.sum(np.abs(u.coeffs) ** 2, axis=0)
+        d_density = u.grid.k_squared() * e_density
     energies = bank.shell_sum(e_density)
     dissipations = bank.shell_sum(d_density)
     transfers = bank.shell_sum(t_density)

@@ -12,13 +12,18 @@ the half spectrum at the 2/3 rule), so a step cuts each product transform to
 that block and does the contraction, projection and RK4 combination there,
 with integrating factors cached on the block alone; with the nonlinearity off
 it scales the block by exp(-nu |k|^2 dt).  Either way it pastes the new block
-into zeros.  Its workspace is one allocation: three block buffers, which
-accumulate the combination and take turns as stage argument and output, and a
-half-spectrum staging buffer, zero outside the block, that carries each stage
-argument to its inverse transform; about 1.9 velocity arrays in all.  A step
-that allocates its own workspace peaks below 4.5 velocity arrays.
-``simulate`` allocates the workspace once per run and holds one state and no
-snapshots: it hands each state, uncopied, to ``on_step``.
+into zeros.  Its workspace is one allocation: four block buffers, one holding
+the state's block, cut once, and three that accumulate the combination and
+take turns as stage argument and output, and a half-spectrum staging buffer,
+zero outside the block, that carries each stage argument to its inverse
+transform and then takes the new state; about 2.1 velocity arrays in all at
+the 2/3 rule.  A step that allocates its own workspace peaks below 4.5
+velocity arrays.
+
+``simulate`` runs the whole march in that one workspace: each state lives in
+the staging buffer, is sampled and handed to ``on_step`` from there, and is
+overwritten by the next step, so no state is allocated per step.  Only the
+last state is copied, into ``final``.
 """
 
 from __future__ import annotations
@@ -122,63 +127,68 @@ def _block_factors(n, k_max, nu, dt):
 
 
 def _workspace(grid):
-    """The step's buffers acc, a and b, each (3, *block shape), and the staging
-    buffer, (3, n, n, n/2 + 1), carved from one allocation."""
+    """The step's buffers acc, a, b and c, each (3, *block shape), c for the
+    state's block, and the staging buffer, (3, n, n, n/2 + 1), carved from one
+    allocation."""
     lo, hi, depth = _block_extent(grid.n, grid.k_max)
     block = (3, lo + hi, lo + hi, depth)
     size = math.prod(block)
-    flat = np.empty(3 * size + 3 * math.prod(grid.spectral_shape), dtype=np.complex128)
-    acc, a, b = flat[: 3 * size].reshape(3, *block)
-    return acc, a, b, flat[3 * size :].reshape(3, *grid.spectral_shape)
+    flat = np.empty(4 * size + 3 * math.prod(grid.spectral_shape), dtype=np.complex128)
+    acc, a, b, c = flat[: 4 * size].reshape(4, *block)
+    return acc, a, b, c, flat[4 * size :].reshape(3, *grid.spectral_shape)
 
 
 def step(u: SpectralVelocity, params: SolverParams, *, _work=None) -> SpectralVelocity:
     """Advance one time step with the integrating-factor RK4 scheme,
     new = e_full c + (dt/6) (e_full k1 + 2 e_half (k2 + k3) + k4).
 
-    ``_work`` is ``_workspace(grid)``: acc gathers the bracket on the block, a
-    and b take turns as stage argument and stage output, and the staging
-    buffer, cleared first, carries each stage argument to its inverse
-    transform.  ``simulate`` passes one per run and a direct call allocates its
-    own.  On the block each operation is the formula's ufunc on the same
-    operands, done in place; only real-by-complex products and complex sums
-    swap operands, which is exact.  The block of c is cut afresh where it is
-    used, so none is held through a stage.  Besides its transform, the step
-    reads only the block of u and writes +0 outside it: the formula's bits
-    when u's zeros there are +0, and its value when they are -0."""
+    ``_work`` is ``_workspace(grid)``: c takes the block of u, cut once, acc
+    gathers the bracket on the block, a and b take turns as stage argument
+    and stage output, and the staging buffer, cleared once c is cut, carries
+    each stage argument to its inverse transform.  With ``_work`` the new state
+    is pasted into the staging buffer and returned there: it aliases the
+    workspace, so the next call with it overwrites it, and u may be such a
+    state.  ``simulate`` passes one workspace per run; a direct call allocates
+    its own and returns an array of its own.  On the block each operation is
+    the formula's ufunc on the same operands, done in place; only
+    real-by-complex products and complex sums swap operands, which is exact.
+    Besides its transform, the step reads only the block of u and writes +0
+    outside it: the formula's bits when u's zeros there are +0, and its value
+    when they are -0."""
     grid = u.grid
     dt = params.dt
     phys = _physical(u.coeffs)
     _cfl_check(phys, grid, dt)
     extent = _block_extent(grid.n, grid.k_max)
     e_full, e_half = _block_factors(grid.n, grid.k_max, params.nu, dt)
-    if not params.nonlinear_enabled:
-        new = _paste(e_full * _cut(u.coeffs, extent), extent, np.zeros_like(u.coeffs))
-        return SpectralVelocity(grid, new, u.time + dt)
-    acc, a, b, stage = _workspace(grid) if _work is None else _work
-    stage[...] = 0.0
-    c = u.coeffs
-    _nonlinear_hat(phys, grid, a)  # a = k1
-    del phys
-    np.multiply(e_full, a, out=acc)
-    np.multiply(a, 0.5 * dt, out=b)  # b = e_half (c + dt/2 k1)
-    b += _cut(c, extent)
-    b *= e_half
-    _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, a)  # a = k2
-    np.multiply(e_half, _cut(c, extent), out=b)  # b = e_half c + dt/2 k2
-    b += (0.5 * dt) * a
-    _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, b)  # b = k3
-    a += b
-    b *= e_half  # b = e_full c + dt e_half k3
-    b *= dt
-    b += e_full * _cut(c, extent)
-    a *= 2.0 * e_half
-    acc += a  # acc = e_full k1 + 2 e_half (k2 + k3)
-    _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, a)  # a = k4
-    acc += a
-    acc *= dt / 6.0
-    acc += e_full * _cut(c, extent)  # acc = new on the block
-    return SpectralVelocity(grid, _paste(acc, extent, np.zeros_like(c)), u.time + dt)
+    acc, a, b, c, stage = _workspace(grid) if _work is None else _work
+    _cut(u.coeffs, extent, out=c)
+    stage[...] = 0.0  # after the cut: u may live in the staging buffer
+    if params.nonlinear_enabled:
+        _nonlinear_hat(phys, grid, a)  # a = k1
+        del phys
+        np.multiply(e_full, a, out=acc)
+        np.multiply(a, 0.5 * dt, out=b)  # b = e_half (c + dt/2 k1)
+        b += c
+        b *= e_half
+        _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, a)  # a = k2
+        np.multiply(e_half, c, out=b)  # b = e_half c + dt/2 k2
+        b += (0.5 * dt) * a
+        _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, b)  # b = k3
+        a += b
+        b *= e_half  # b = e_full c + dt e_half k3
+        b *= dt
+        b += e_full * c
+        a *= 2.0 * e_half
+        acc += a  # acc = e_full k1 + 2 e_half (k2 + k3)
+        _nonlinear_hat(_physical(_paste(b, extent, stage)), grid, a)  # a = k4
+        acc += a
+        acc *= dt / 6.0
+        acc += e_full * c  # acc = new on the block
+    else:
+        np.multiply(e_full, c, out=acc)
+    out = stage if _work is not None else np.zeros_like(stage)
+    return SpectralVelocity(grid, _paste(acc, extent, out), u.time + dt)
 
 
 @dataclass(frozen=True)
@@ -241,12 +251,19 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
              on_step=None) -> SimulationResult:
     """March the field to t_end, sampling diagnostics every diag_every steps and
     passing the initial state (i = 0) and each accepted step i, after its row,
-    to ``on_step(i, u)``.  ``u`` is not a copy, so the hook must not write to
-    it; neither ``step`` nor a row does.  ``final`` is ``u0`` when t_end = 0.
+    to ``on_step(i, u)``.  ``u`` is valid only during the call, as the next step
+    overwrites it: a hook that keeps a state keeps ``u.copy()``, and it must not
+    write to ``u``.  The first hook gets ``u0`` and the last one ``final``.
+
+    Each state lives in the one workspace of the march.  Only the last is
+    copied, into ``final``, and the workspace is freed before the last hook.
+    ``final`` is ``u0`` when t_end = 0.  Once a step is accepted, only the
+    caller holds ``u0``.
 
     Any LpnsError raised during the march, by a step, a row or ``on_step``,
     carries the partial result as its ``result`` attribute: the rows taken
-    before it, with ``final`` the last finite state."""
+    before it, with ``final`` the last finite state, the one the last hook got,
+    which may keep the workspace alive."""
     _validate_initial(u0)
     if bank is None:
         bank = build_filter_bank(u0.grid)
@@ -254,6 +271,7 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
     if abs(n_steps * params.dt - params.t_end) > 1e-9 * max(params.dt, params.t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
     u = u0
+    del u0  # u is the last good state: the caller's field until a step is accepted
     work = _workspace(u.grid)
     rows = []
     try:
@@ -263,6 +281,9 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
         for i in range(1, n_steps + 1):
             new = step(u, params, _work=work)
             if not np.all(np.isfinite(new.coeffs.view(np.float64))):
+                if new.coeffs is u.coeffs:  # u was overwritten: rebuild it from the block the step cut
+                    new.coeffs[...] = 0.0
+                    _paste(work[3], _block_extent(u.grid.n, u.grid.k_max), new.coeffs)
                 raise DivergenceError(
                     f"solution diverged at t = {new.time:g}; last good time {u.time:g}",
                     last_good_time=u.time,
@@ -270,6 +291,9 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
             u = new
             if i % params.diag_every == 0:
                 rows.append(_sample_row(u, bank, params.nu))
+            if i == n_steps:
+                u = u.copy()
+                del new, work  # the workspace goes before the last hook
             if on_step is not None:
                 on_step(i, u)
     except LpnsError as exc:

@@ -80,10 +80,12 @@ def _corners(n, lo, hi, depth):
             for bx, fx in rows for by, fy in rows]
 
 
-def _cut(c, extent):
-    """The block extent = (lo, hi, depth) of half-spectrum values c, as a new array."""
+def _cut(c, extent, out=None):
+    """The block extent = (lo, hi, depth) of half-spectrum values c, written into
+    ``out`` when given and otherwise into a new array."""
     lo, hi, depth = extent
-    out = np.empty((*c.shape[:-3], lo + hi, lo + hi, depth), dtype=c.dtype)
+    if out is None:
+        out = np.empty((*c.shape[:-3], lo + hi, lo + hi, depth), dtype=c.dtype)
     for b, f in _corners(c.shape[-2], lo, hi, depth):
         out[b] = c[f]
     return out
@@ -363,8 +365,15 @@ def _solenoidal_noise(grid: GridSpec, seed: int) -> np.ndarray:
 
 
 def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> SpectralVelocity:
-    """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
+    """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2.
+
+    The modes with some |k_i| = n/2 are zeroed.  Below fraction 1 the block
+    holds none of them.  At fraction 1 the projection gives such a mode and its
+    Hermitian partner, stored at the same index, different k, so they would
+    break the symmetry and the field would not be real."""
     coeffs = _keep_block(_solenoidal_noise(grid, seed), grid)
+    nyquist = grid.n // 2
+    coeffs[:, nyquist] = coeffs[:, :, nyquist] = coeffs[..., nyquist] = 0.0
     coeffs[:, 0, 0, 0] = 0.0
     coeffs *= l2 / l2_norm(SpectralVelocity(grid, coeffs))
     return SpectralVelocity(grid, coeffs)

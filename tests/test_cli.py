@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +277,37 @@ class TestSimulateCommand:
         man1 = (tmp_path / "o1" / "run_manifest.json").read_bytes()
         man2 = (tmp_path / "o2" / "run_manifest.json").read_bytes()
         assert man1 == man2
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+    def test_peak_rss_of_a_short_n64_run(self, tmp_path):
+        """A fresh process runs 2 steps at n = 64 with a row each and a snapshot
+        at the end.  Its resident peak beyond what the imports hold stays under 7
+        velocity arrays: the march keeps no state per step and does not keep u0
+        (6.2 measured).  With a new state per step, held beside the old one, and
+        u0 kept for the whole run, it read 8.4 to 8.5."""
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, n=64, nu=0.05, t_end=0.002, ic="random", seed=1, amplitude=None,
+                     spectrum="0:0.3,1:0.2,2:0.1,3:0.05", diag_every=1, snapshot_every=2,
+                     out=str(tmp_path / "out"))
+        script = (
+            "import sys\n"
+            "import lpns.cli\n"
+            "def status(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith(key + ':'))\n"
+            "base = status('VmRSS')\n"
+            "code = lpns.cli.main(['simulate', '--config', sys.argv[1]])\n"
+            "print(code, base, status('VmHWM'))\n"
+        )
+        src = str(Path(lpns.solver.__file__).resolve().parents[1])
+        env = {**os.environ, "LPNS_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        code, base_kb, peak_kb = map(int, out.split())
+        assert code == 0
+        velocity_kb = 3 * 64 * 64 * 33 * 16 / 1024
+        assert (peak_kb - base_kb) / velocity_kb < 7.0
 
 
 class TestCsvColumns:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -261,6 +262,12 @@ class TestStep:
         assert 12.0 < err1 / err2 < 20.0
 
 
+def row_bytes(row):
+    """A trajectory row's numbers as bytes, shell energies last."""
+    values = [getattr(row, f.name) for f in dataclasses.fields(row) if f.name != "shell_energies"]
+    return np.array([*values, *row.shell_energies]).tobytes()
+
+
 class TestSimulate:
     def test_zero_initial_data(self, grid16, bank16):
         params = SolverParams(nu=1.0, dt=1e-2, t_end=0.1, diag_every=2)
@@ -289,7 +296,7 @@ class TestSimulate:
 
         def keep(i, u):
             if i % 10 == 0:
-                snapshots.append(u)
+                snapshots.append(u.copy())  # u is valid only during the call
 
         simulate(make_taylor_green(grid32, 1.0), params, bank32, keep)
         assert snapshots
@@ -408,13 +415,77 @@ class TestSimulate:
         monkeypatch.setattr(solver_mod, "step", recording)
         simulate(make_taylor_green(grid16, 1.0), SolverParams(nu=0.1, dt=1e-3, t_end=3e-3), bank16)
         assert len(seen) == 3 and all(work is seen[0] for work in seen)
-        acc, a, b, stage = seen[0]
+        acc, a, b, c, stage = seen[0]
         lo, hi, depth = _dealias_block(16, grid16.k_max)[0]
-        assert acc.shape == a.shape == b.shape == (3, lo + hi, lo + hi, depth) == (3, 11, 11, 6)
+        assert acc.shape == a.shape == b.shape == c.shape == (3, lo + hi, lo + hi, depth) == (3, 11, 11, 6)
         assert stage.shape == (3, *grid16.spectral_shape)
         owner = acc.base
-        assert owner is not None and all(buffer.base is owner for buffer in (a, b, stage))
-        assert owner.nbytes == acc.nbytes + a.nbytes + b.nbytes + stage.nbytes
+        assert owner is not None and all(buffer.base is owner for buffer in (a, b, c, stage))
+        assert owner.nbytes == acc.nbytes + a.nbytes + b.nbytes + c.nbytes + stage.nbytes
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("diag_every", [1, 3])
+    def test_march_equals_direct_steps_bit_for_bit(self, fraction, diag_every):
+        """The march keeps each state in its workspace.  Its rows, the states its
+        hook sees and final equal a march of direct steps, byte for byte."""
+        grid = GridSpec(16, fraction)
+        bank = build_filter_bank(grid)
+        u0 = random_solenoidal_field(grid, 5, 3.0)
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=7e-3, diag_every=diag_every)
+        seen = []
+        res = simulate(u0, params, bank, lambda i, u: seen.append((u.time, u.coeffs.tobytes())))
+        u, rows, states = u0, [_sample_row(u0, bank, params.nu)], [(u0.time, u0.coeffs.tobytes())]
+        for i in range(1, 8):
+            u = step(u, params)
+            states.append((u.time, u.coeffs.tobytes()))
+            if i % diag_every == 0:
+                rows.append(_sample_row(u, bank, params.nu))
+        assert [row_bytes(row) for row in res.rows] == [row_bytes(row) for row in rows]
+        assert seen == states
+        assert (res.final.time, res.final.coeffs.tobytes()) == states[-1]
+
+    @pytest.mark.parametrize("bad_step", [1, 3])
+    def test_divergence_error_keeps_the_last_good_state(self, grid16, bank16, monkeypatch,
+                                                        bad_step):
+        """A step that fails leaves final bit-equal to the state before it: u0
+        itself at step 1, later rebuilt from the block the failed step cut."""
+        import lpns.solver as solver_mod
+
+        u0 = random_solenoidal_field(grid16, 6, 3.0)
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=5e-3)
+        expected = u0
+        for _ in range(bad_step - 1):
+            expected = step(expected, params)
+        real_step = solver_mod.step
+        calls = []
+
+        def poisoned(u, params, **kwargs):
+            out = real_step(u, params, **kwargs)
+            calls.append(out)
+            if len(calls) == bad_step:
+                out.coeffs[...] = np.nan  # inside the block and outside it
+            return out
+
+        monkeypatch.setattr(solver_mod, "step", poisoned)
+        with pytest.raises(DivergenceError) as err:
+            simulate(u0, params, bank16)
+        final = err.value.result.final
+        assert final.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert final.time == expected.time == err.value.last_good_time
+        assert (final is u0) == (bad_step == 1)
+        assert len(err.value.result.rows) == bad_step
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_march_peak_allocation_at_most_five_and_three_quarter_velocity_arrays(self, n):
+        """The march allocates its workspace once and no state per step, so it
+        peaks at the workspace and one row, about 5.4 velocity arrays.  A march
+        that allocated each new state beside the old one peaked at 6.1 to 6.2."""
+        grid = GridSpec(n)
+        bank = build_filter_bank(grid)
+        u0 = make_random_field(grid, 1, {0: 0.3, 1: 0.2, 2: 0.1, 3: 0.05})
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=3e-3)
+        simulate(u0, params, bank)  # fills the lattice, block and factor caches
+        assert peak_allocation(lambda: simulate(u0, params, bank)) <= 5.75 * u0.coeffs.nbytes
 
     def test_t_end_must_be_step_multiple(self, grid16, bank16):
         params = SolverParams(nu=1.0, dt=3e-3, t_end=0.01)

@@ -327,6 +327,10 @@ class TestDealias:
             expected = c * mask
             expected += 0.0
             assert dealias(SpectralVelocity(grid, c)).coeffs.tobytes() == expected.tobytes()
+            # The white noise also drops the modes with some |k_i| = n/2, which
+            # only the fraction-1 block holds.
+            kx, ky, kz = _lattice(n)[:3]
+            mask &= (np.abs(kx) < n // 2) & (np.abs(ky) < n // 2) & (kz < n // 2)
             expected = _solenoidal_noise(grid, seed) * mask
             expected += 0.0
             expected[:, 0, 0, 0] = 0.0
@@ -356,6 +360,8 @@ class TestDealiasBlock:
         ).coeffs
         block = _cut(c, extent)
         assert block.shape == (3, lo + hi, lo + hi, depth)
+        dirty = np.full_like(block, np.nan)
+        assert _cut(c, extent, out=dirty) is dirty and dirty.tobytes() == block.tobytes()
         pasted = _paste(block, extent, np.zeros_like(c))
         assert pasted.tobytes() == np.where(dealias_mask(grid), c, 0.0).tobytes()
         dealiased = dealias(SpectralVelocity(grid, c)).coeffs
@@ -464,6 +470,22 @@ class TestRandomField:
     def test_unresolvable_shell(self, grid16):
         with pytest.raises(ConfigurationError):
             make_random_field(grid16, 0, {4: 1.0})  # 2^4 = 16 > k_max = 5
+
+
+class TestWhiteNoise:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_full_fraction_is_a_real_solenoidal_field(self, n):
+        """At fraction 1 the block holds the modes with some |k_i| = n/2, where
+        the projection breaks Hermitian symmetry; they are dropped.  What is left
+        is Hermitian to the round-off of the transform itself, as at 2/3."""
+        u = random_solenoidal_field(GridSpec(n, 1.0), 1)
+        scale = float(np.max(np.abs(u.coeffs)))
+        assert hermitian_residual(u) < 1e-15 * scale
+        inverse_transform(u)  # raises on a field that is not real
+        assert divergence_residual(u) < 1e-10
+        assert l2_norm(u) == pytest.approx(1.0, rel=1e-14)
+        h = n // 2
+        assert not (np.any(u.coeffs[:, h]) or np.any(u.coeffs[:, :, h]) or np.any(u.coeffs[..., h]))
 
 
 def test_zero_velocity(grid16):
