@@ -4,10 +4,19 @@ LPNS_THREADS sets the transform worker count, a positive integer (default 1);
 any other value is a configuration error.  pocketfft assigns each output
 element to exactly one worker, so results are bit-identical for any worker
 count and runs stay reproducible.
+
+Each entry takes ``axes`` as its second parameter.  A benchmark that wraps the
+entries counts a call as its batch, the product of the axes it does not
+transform, however many passes the entry makes inside.  So each entry calls
+``scipy.fft`` directly, never a sibling, whose call would count its passes
+again.  ``irfftn_cube`` is the one pruned transform: the grid values of a
+field whose modes lie in a small cube, transformed pass by pass over only the
+lines that cube occupies.
 """
 
 import os
 
+import numpy as np
 from scipy import fft as _sfft
 
 from .errors import ConfigurationError
@@ -38,3 +47,33 @@ def rfftn(a, axes=(-3, -2, -1)):
 
 def irfftn(a, axes=(-3, -2, -1)):
     return _sfft.irfftn(a, axes=axes, workers=workers())
+
+
+def irfftn_cube(cube, axes=(-3, -2, -1), *, n):
+    """Real n-point grid values, sum_k c(k) exp(i k.x) with no 1/n^3, of the
+    half-spectrum modes in the cube |k_i| < r, given as (2r - 1, 2r - 1, r)
+    values over ``axes`` (x, y, z): kx and ky in FFT order, 0..r-1 then
+    1-r..-1, and kz in 0..r-1.  The result is bit-identical to
+    ``irfftn(...) * n**3`` of the cube pasted into zeros.
+
+    It transforms along x on the cube's lines, along y on its r kz planes, and
+    c2r along z.  Every inverse is unscaled (norm="forward"); irfftn's 1/n^3
+    and the caller's n^3 are powers of two, so dropping both moves no bit."""
+    w = workers()
+    cube = np.moveaxis(cube, axes, (-3, -2, -1))
+    r = cube.shape[-1]
+    if cube.shape[-3:] != (2 * r - 1, 2 * r - 1, r) or 2 * r > n:
+        raise ValueError(f"cube of shape {cube.shape[-3:]} is not |k_i| < r on {n} points")
+    lead = cube.shape[:-3]
+    lines = np.zeros((*lead, n, 2 * r - 1, r), dtype=complex)
+    lines[..., :r, :, :] = cube[..., :r, :, :]
+    lines[..., n - r + 1 :, :, :] = cube[..., r:, :, :]
+    lines = _sfft.ifft(lines, axis=-3, norm="forward", overwrite_x=True, workers=w)
+    planes = np.zeros((*lead, n, n, n // 2 + 1), dtype=complex)
+    planes[..., :r, :r] = lines[..., :r, :]
+    planes[..., n - r + 1 :, :r] = lines[..., r:, :]
+    del lines
+    occupied = planes[..., :r]
+    occupied[...] = _sfft.ifft(occupied, axis=-2, norm="forward", overwrite_x=True, workers=w)
+    out = _sfft.irfft(planes, n=n, axis=-1, norm="forward", workers=w)
+    return np.moveaxis(out, (-3, -2, -1), axes)

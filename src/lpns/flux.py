@@ -17,6 +17,10 @@ each u_q once; the L4 norms and the report's remainders both read them.
 Six-component tensors are built one component at a time.  A report holds one,
 the product tensor (u o u)^, and takes each shell's remainder norm inside its
 :func:`remainder` call one component at a time, so no remainder tensor is held.
+The norm is reduced in one working set (:func:`_remainder_l2`), and a coarse
+shell, 2^(q+3) < n, has its n-point u_q transformed from its support cube
+|k_i| < 2^(q+1) (:func:`_shell_grid_values`), with the same bits as the full
+inverse transforms.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError
 from .lp import FilterBank, phi_profile, shell_energies, truncate_low
-from .spectral import (BOX_LENGTH, SpectralVelocity, _cut, _hat, _lattice, _lattice_sum, _physical,
-                       is_dealiased)
+from .spectral import (BOX_LENGTH, BOX_VOLUME, SpectralVelocity, _cut, _hat, _lattice, _lattice_sum,
+                       _physical, is_dealiased)
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
 #: in full double contractions.
@@ -103,13 +107,53 @@ def _product_hats(phys):
     return map(_hat, _products(phys))
 
 
-def _remainder_component(phys, what, mult, uq_phys, m, out=None):
-    """Component m of r_q, written into ``out`` when given: mult (u o u)^_m less
-    the transform of its two cross terms."""
-    i, j = SYM_PAIRS[m]
-    c = np.multiply(mult, what[m], out=out)
-    c -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
-    return c
+def _remainder_l2(phys, what, mult, uq_phys) -> float:
+    """:func:`tensor_l2_norm` of r_q, bit for bit, in one working set.
+
+    Each component is compared unnormalised, n^3 mult (u o u)^_m against the
+    rfftn of its cross terms, and the norm is divided by n^3 at the end; n^3 is
+    a power of two, so every value is n^3 times its normalised one exactly.
+    ``mult`` is scaled by n^3 in place.  One buffer of n^3 + 2 n^2 floats holds
+    in turn a component's cross term (n^3 grid values), its n^3 mult (u o u)^_m
+    (a half spectrum of complex values) and its density |c|^2 (a real half
+    spectrum), so beside it only the rfftn result and, while an off-diagonal
+    cross term is summed, its second product are held.  A diagonal cross term
+    is one product, doubled (x + x)."""
+    n = phys.shape[-1]
+    scale = float(n) ** 3
+    mult *= scale
+    shape = mult.shape
+    buf = np.empty(2 * mult.size)
+    cross = buf[: n**3].reshape(phys.shape[1:])
+    target = buf.view(complex).reshape(shape)
+    density = buf[: mult.size].reshape(shape)
+    weight = _lattice(n)[4]
+    sums = np.empty(len(SYM_PAIRS))
+    for m, (i, j) in enumerate(SYM_PAIRS):
+        np.multiply(uq_phys[i], phys[j], out=cross)
+        cross += cross if i == j else phys[i] * uq_phys[j]
+        c = _fft.rfftn(cross)
+        np.subtract(np.multiply(mult, what[m], out=target), c, out=c)
+        np.abs(c, out=density)
+        del c
+        density **= 2
+        density *= weight
+        sums[m] = BOX_VOLUME * np.sum(density, axis=(-3, -2, -1))  # as _lattice_sum sums
+    return math.sqrt(float(np.sum(SYM_WEIGHTS * sums))) / scale
+
+
+def _shell_grid_values(u: SpectralVelocity, mult, q):
+    """u_q's n-point grid values, one component at a time.  A coarse shell,
+    2^(q+3) < n, is transformed from its support cube |k_i| < 2^(q+1), where
+    phi_q vanishes outside, by :func:`lpns._fft.irfftn_cube`: the same bits as
+    the full inverse of c * mult, in less than half its time."""
+    n = u.grid.n
+    if 2 ** (q + 3) >= n:
+        return [_physical(c * mult) for c in u.coeffs]
+    r = 2 ** (q + 1)
+    extent = (r, r - 1, r)
+    cube_mult = _cut(mult, extent)
+    return [_fft.irfftn_cube(_cut(c, extent) * cube_mult, n=n) for c in u.coeffs]
 
 
 def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None,
@@ -119,23 +163,23 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     ``_phys``, ``_what`` and ``_uq_phys`` are the caller's grid values of u, the
     coefficients of its product tensor and the n-point grid values of u_q (any
     sequence of three components); each is read, never written, and computed
-    here when not given.  u_q's grid values are transformed one component at a
-    time, and so are the cross terms, so no six-component physical tensor is
+    here when not given (u_q by :func:`_shell_grid_values`).  Cross terms are
+    transformed one component at a time, so no six-component physical tensor is
     held.  With ``_l2`` the result is :func:`tensor_l2_norm` of the tensor,
-    reduced one component at a time inside this call: no six-component tensor
+    reduced inside this call by :func:`_remainder_l2`: no six-component tensor
     is held at all."""
     bank.check_shell(q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
     mult = bank.multiplier(q)
-    uq_phys = [_physical(c * mult) for c in u.coeffs] if _uq_phys is None else _uq_phys
-    args = (phys, what, mult, uq_phys)
+    uq_phys = _shell_grid_values(u, mult, q) if _uq_phys is None else _uq_phys
     if _l2:
-        return tensor_l2_norm(_remainder_component(*args, m) for m in range(len(SYM_PAIRS)))
+        return _remainder_l2(phys, what, mult, uq_phys)
     out = np.empty((len(SYM_PAIRS), *mult.shape), dtype=complex)
-    for m in range(len(SYM_PAIRS)):
-        _remainder_component(*args, m, out[m])
+    for m, (i, j) in enumerate(SYM_PAIRS):
+        np.multiply(mult, what[m], out=out[m])
+        out[m] -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
     return out
 
 
@@ -219,13 +263,13 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     n = u.grid.n
     phys = _physical(u.coeffs)
     what = product_tensor_hat(u, phys)
-    uq_coeffs = u.coeffs * bank.multiplier(q)
-    r_hat = remainder(u, bank, q, _phys=phys, _what=what)
-    integral_r = _tensor_pairing(r_hat, _sym_grad_hat(uq_coeffs, n))
+    mult = bank.multiplier(q)
+    uq_phys = _shell_grid_values(u, mult, q)  # read by both parts
+    r_hat = remainder(u, bank, q, _phys=phys, _what=what, _uq_phys=uq_phys)
+    integral_r = _tensor_pairing(r_hat, _sym_grad_hat(u.coeffs * mult, n))
 
     k = _lattice(n)[:3]
     low = truncate_low(u, bank, q + low_shift)
-    uq_phys = _physical(uq_coeffs)
     acc = 0.0
     for i in range(3):
         for j in range(3):

@@ -59,16 +59,17 @@ def peak_allocation(call):
 def count_transforms(call):
     """Transforms made by call(), counted as the benchmark tracer counts them: each
     call into ``lpns._fft`` adds its batch, the product of the axes it does not
-    transform."""
+    transform.  A pruned ``irfftn_cube`` call counts alike, one per component."""
     count = 0
-    originals = {name: getattr(_fft, name) for name in ("fftn", "ifftn", "rfftn", "irfftn")}
+    originals = {name: getattr(_fft, name)
+                 for name in ("fftn", "ifftn", "rfftn", "irfftn", "irfftn_cube")}
 
     def counting(fn):
-        def wrapper(a, axes=(-3, -2, -1)):
+        def wrapper(a, axes=(-3, -2, -1), **kwargs):
             nonlocal count
             transformed = {ax % a.ndim for ax in axes}
             count += math.prod(a.shape[d] for d in range(a.ndim) if d not in transformed)
-            return fn(a, axes=axes)
+            return fn(a, axes=axes, **kwargs)
         return wrapper
 
     try:

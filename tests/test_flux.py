@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpns import flux
+from lpns import _fft, flux
 from lpns.errors import ConfigurationError, ShellRangeError
 from lpns.flux import (
     LOW_PASS_SHIFT,
@@ -25,12 +25,15 @@ from lpns.flux import (
     tensor_l2_norm,
     total_flux,
 )
-from lpns.lp import build_filter_bank, lam, phi_profile, shell_project
+from lpns.lp import build_filter_bank, lam, phi_profile, shell_project, truncate_low
 from lpns.spectral import (
     GridSpec,
     SpectralVelocity,
+    _cut,
     _hat,
     _lattice,
+    _lattice_sum,
+    _paste,
     make_random_field,
     make_taylor_green,
     zero_velocity,
@@ -163,6 +166,21 @@ class TestRemainder:
             scale = max(tensor_l2_norm(slow), 1e-14)
             assert tensor_l2_norm(fast - slow) / scale < 1e-8
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_coarse_shell_norm_peak_allocation_at_most_two_velocity_arrays(self, n):
+        """With u's grid values and product tensor given, a coarse shell's norm
+        holds u_q (about 1 velocity array), phi_q, and one working buffer beside
+        one rfftn result: 1.94 V at n = 32 and 1.82 V at n = 64.  A fresh
+        product, sum and transform per component would take 2.09 and 2.13 V."""
+        grid = GridSpec(n)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 1)
+        phys = _physical(u.coeffs)
+        what = product_tensor_hat(u, phys)
+        remainder(u, bank, 0, _phys=phys, _what=what, _l2=True)  # builds the cached lattice tables
+        peak = peak_allocation(lambda: remainder(u, bank, 0, _phys=phys, _what=what, _l2=True))
+        assert peak <= 2.0 * u.coeffs.nbytes
+
 
 def _roll_hat(u, shift):
     """Coefficients of x -> u(x - a) for a lattice shift a."""
@@ -239,6 +257,30 @@ class TestNltSplit:
     def test_default_shift_is_two(self):
         assert LOW_PASS_SHIFT == 2
 
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
+    def test_one_shell_transform_for_both_parts_moves_no_bit(self, grid32, fraction):
+        """u_q is transformed once and read by both parts.  Each part equals,
+        bit for bit, its formula with u_q from the full inverse of its half
+        spectrum.  The split transforms u (3), its product tensor (6), u_q (3),
+        the cross terms (6) and the low part's gradient (9)."""
+        grid = GridSpec(32, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 2)
+        k = _lattice(32)[:3]
+        for q in bank.shells:
+            uq_coeffs = u.coeffs * bank.multiplier(q)
+            uq_phys = _physical(uq_coeffs)
+            r_hat = remainder(u, bank, q, _uq_phys=uq_phys)
+            sym_grad = np.stack([0.5j * (k[i] * uq_coeffs[j] + k[j] * uq_coeffs[i]) for i, j in SYM_PAIRS])
+            integral_r = float(np.sum(flux.SYM_WEIGHTS * _lattice_sum((r_hat * np.conj(sym_grad)).real)))
+            low = truncate_low(u, bank, q + LOW_PASS_SHIFT)
+            acc = 0.0
+            for i in range(3):
+                for j in range(3):
+                    acc += float(np.sum(uq_phys[i] * _physical(1j * k[i] * low.coeffs[j]) * uq_phys[j]))
+            assert nlt_split(u, bank, q) == (integral_r, -acc * grid.dx**3)
+            assert count_transforms(lambda: nlt_split(u, bank, q)) == 3 + 6 + 3 + 6 + 9
+
 
 def quadrature_l4(u, q, m):
     """||u_q||_4 by an m-point grid quadrature, m >= n, with the shell zero-padded
@@ -301,6 +343,50 @@ class TestShellFields:
             assert m == min(n, 2 ** (q + 3))
             assert np.stack(values).tobytes() == gathered_shell_values(u, bank, q).tobytes()
         assert seen == list(bank.shells)
+
+
+def support_cubes(u, bank):
+    """(q, extent, [cube of each component]) for every coarse shell, 2^(q+3) < n:
+    u_q on its support cube |k_i| < 2^(q+1)."""
+    n = u.grid.n
+    for q in bank.shells:
+        if 2 ** (q + 3) < n:
+            r = 2 ** (q + 1)
+            extent = (r, r - 1, r)
+            mult = _cut(bank.multiplier(q), extent)
+            yield q, extent, [_cut(c, extent) * mult for c in u.coeffs]
+
+
+class TestCubeTransform:
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_equal_to_the_pasted_cube_bit_for_bit(self, n, fraction):
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 3)
+        shells = []
+        for q, extent, cubes in support_cubes(u, bank):
+            shells.append(q)
+            for cube in cubes:
+                pasted = _paste(cube, extent, np.zeros(grid.spectral_shape, dtype=complex))
+                assert _fft.irfftn_cube(cube, n=n).tobytes() == _physical(pasted).tobytes()
+        assert shells == [q for q in bank.shells if 2 ** (q + 3) < n] != []
+
+    def test_stacked_and_moved_axes_count_one_transform_per_component(self, grid32, bank32):
+        u = random_solenoidal_field(grid32, 4)
+        for _, _, cubes in support_cubes(u, bank32):
+            stacked = np.stack(cubes)
+            values = np.stack([_fft.irfftn_cube(cube, n=32) for cube in cubes])
+            assert _fft.irfftn_cube(stacked, n=32).tobytes() == values.tobytes()
+            moved = _fft.irfftn_cube(np.moveaxis(stacked, 0, -1), (0, 1, 2), n=32)
+            assert np.moveaxis(moved, -1, 0).tobytes() == values.tobytes()
+            assert count_transforms(lambda: _fft.irfftn_cube(stacked, n=32)) == 3
+
+    def test_rejects_a_cube_that_is_not_a_support_cube(self):
+        with pytest.raises(ValueError):
+            _fft.irfftn_cube(np.zeros((4, 4, 2), dtype=complex), n=16)
+        with pytest.raises(ValueError):
+            _fft.irfftn_cube(np.zeros((17, 17, 9), dtype=complex), n=16)
 
 
 class TestLemma1:
@@ -524,6 +610,20 @@ class TestShellFluxReport:
         assert [row.q for row in report.rows] == list(bank.shells)
         for row in report.rows:
             assert row.remainder_l2 == tensor_l2_norm(remainder(u, bank, row.q))
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_row_remainders_equal_the_full_inverse_norm_bit_for_bit(self, n, fraction):
+        """Every row's norm, with u_q from its support cube or from the shell
+        generator and reduced in one working set, equals the norm of the stacked
+        tensor built with u_q from the full inverse of its half spectrum."""
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 7)
+        report = shell_flux_report(u, bank, 1.5, 0.1)
+        for row in report.rows:
+            uq_phys = [_physical(c * bank.multiplier(row.q)) for c in u.coeffs]
+            assert row.remainder_l2 == tensor_l2_norm(remainder(u, bank, row.q, _uq_phys=uq_phys))
 
     @pytest.mark.parametrize("n, fraction", [(16, 2.0 / 3.0), (32, 2.0 / 3.0), (32, 0.5)])
     def test_each_remainder_makes_its_transforms_inside_its_call(self, n, fraction, monkeypatch):
