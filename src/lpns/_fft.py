@@ -9,9 +9,15 @@ Each entry takes ``axes`` as its second parameter.  A benchmark that wraps the
 entries counts a call as its batch, the product of the axes it does not
 transform, however many passes the entry makes inside.  So each entry calls
 ``scipy.fft`` directly, never a sibling, whose call would count its passes
-again.  ``irfftn_cube`` is the one pruned transform: the grid values of a
-field whose modes lie in a small cube, transformed pass by pass over only the
-lines that cube occupies.
+again.
+
+Two transforms are pruned (Markel, IEEE Trans. Audio Electroacoust. 19, 305,
+1971): pass by pass, each transforms only the lines that a small cube of modes
+|k_i| < r occupies, with the bits of the full transform.  ``irfftn_cube`` gives
+the grid values of a field whose modes lie in the cube, and ``rfftn_cube`` the
+cube's modes of real grid values.  Both pay on a shell's support cube, which
+``flux`` transforms up to r = n/4 for the inverse and r = n/8 for the forward;
+neither pays on the retained block, 2/3 of the grid per axis.
 """
 
 import os
@@ -47,6 +53,37 @@ def rfftn(a, axes=(-3, -2, -1)):
 
 def irfftn(a, axes=(-3, -2, -1)):
     return _sfft.irfftn(a, axes=axes, workers=workers())
+
+
+def rfftn_cube(a, axes=(-3, -2, -1), *, r):
+    """The modes |k_i| < r of the unnormalised ``rfftn`` of real n-point values
+    over ``axes`` (x, y, z), as (2r - 1, 2r - 1, r) values in the layout of
+    :func:`irfftn_cube`.  The result is bit-identical to the block
+    (r, r - 1, r) of ``rfftn(a)``.
+
+    It transforms r2c along z on every line, keeping kz < r, then along x on
+    those planes, keeping the cube's kx rows, and along y on the cube's lines
+    only.  x before y is rfftn's own order; y before x moves bits.  The z pass
+    takes 8 x rows at a time, so no full half spectrum is held."""
+    w = workers()
+    a = np.moveaxis(a, axes, (-3, -2, -1))
+    n = a.shape[-1]
+    if a.shape[-3:] != (n, n, n) or 8 * r > n:
+        raise ValueError(f"a cube |k_i| < {r} of {a.shape[-3:]} values needs 8 r <= n")
+    lead = a.shape[:-3]
+    planes = np.empty((*lead, n, n, r), dtype=complex)
+    for x in range(0, n, 8):
+        planes[..., x : x + 8, :, :] = _sfft.rfft(a[..., x : x + 8, :, :], axis=-1, workers=w)[..., :r]
+    planes = _sfft.fft(planes, axis=-3, overwrite_x=True, workers=w)
+    lines = np.empty((*lead, 2 * r - 1, n, r), dtype=complex)
+    lines[..., :r, :, :] = planes[..., :r, :, :]
+    lines[..., r:, :, :] = planes[..., n - r + 1 :, :, :]
+    del planes
+    lines = _sfft.fft(lines, axis=-2, overwrite_x=True, workers=w)
+    cube = np.empty((*lead, 2 * r - 1, 2 * r - 1, r), dtype=complex)
+    cube[..., :r, :] = lines[..., :r, :]
+    cube[..., r:, :] = lines[..., n - r + 1 :, :]
+    return np.moveaxis(cube, (-3, -2, -1), axes)
 
 
 def irfftn_cube(cube, axes=(-3, -2, -1), *, n):

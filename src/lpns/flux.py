@@ -17,10 +17,13 @@ each u_q once; the L4 norms and the report's remainders both read them.
 Six-component tensors are built one component at a time.  A report holds one,
 the product tensor (u o u)^, and takes each shell's remainder norm inside its
 :func:`remainder` call one component at a time, so no remainder tensor is held.
-The norm is reduced in one working set (:func:`_remainder_l2`), and a coarse
-shell, 2^(q+3) < n, has its n-point u_q transformed from its support cube
-|k_i| < 2^(q+1) (:func:`_shell_grid_values`), with the same bits as the full
-inverse transforms.
+The norm is reduced in one working set (:func:`_remainder_l2`).  u_q vanishes
+outside its support cube |k_i| < 2^(q+1), and two pruned transforms use that:
+u_q's n-point values come from the cube where 2^(q+3) <= n
+(:func:`_shell_grid_values`, the same bits as the full inverse), and a coarse
+shell, 2^(q+3) < n, transforms only the cube's modes of its cross terms and
+takes the rest of the norm by Parseval (:func:`_cube_sums`, equal to 1e-13
+relative to the full-spectrum norm).
 """
 
 from __future__ import annotations
@@ -107,31 +110,60 @@ def _product_hats(phys):
     return map(_hat, _products(phys))
 
 
-def _remainder_l2(phys, what, mult, uq_phys) -> float:
-    """:func:`tensor_l2_norm` of r_q, bit for bit, in one working set.
+def _inverse_from_cube(n, q) -> bool:
+    """Whether u_q's n-point grid values are transformed from its support cube
+    |k_i| < 2^(q+1) by :func:`lpns._fft.irfftn_cube`, with the bits of the full
+    inverse: 2^(q+3) <= n, a cube of at most n/4 per axis.  At n/4 (q with
+    2^(q+3) = n) one component took 0.26 against 0.43 ms at n = 32, 2.3 against
+    3.1 ms at n = 64 and 18.7 against 39.7 ms at n = 128 (CPU time, median of 7,
+    one worker, 2-core Xeon)."""
+    return 2 ** (q + 3) <= n
 
-    Each component is compared unnormalised, n^3 mult (u o u)^_m against the
-    rfftn of its cross terms, and the norm is divided by n^3 at the end; n^3 is
-    a power of two, so every value is n^3 times its normalised one exactly.
-    ``mult`` is scaled by n^3 in place.  One buffer of n^3 + 2 n^2 floats holds
-    in turn a component's cross term (n^3 grid values), its n^3 mult (u o u)^_m
-    (a half spectrum of complex values) and its density |c|^2 (a real half
-    spectrum), so beside it only the rfftn result and, while an off-diagonal
-    cross term is summed, its second product are held.  A diagonal cross term
-    is one product, doubled (x + x)."""
+
+def _forward_to_cube(n, q) -> bool:
+    """Whether r_q's norm transforms only its cross terms' modes in the support
+    cube |k_i| < 2^(q+1), by :func:`lpns._fft.rfftn_cube`, and takes the rest by
+    Parseval (:func:`_cube_sums`): 2^(q+3) < n, a cube of at most n/8 per axis.
+    At n = 128 the norm of shells 0 to 3 took 108 to 161 ms against 214 to
+    248 ms (CPU time, median of 5, one worker, 2-core Xeon).  A shell with
+    2^(q+3) >= n keeps the full-spectrum norm bit for bit."""
+    return 2 ** (q + 3) < n
+
+
+def _support_extent(q):
+    """The block (lo, hi, depth) of u_q's support cube |k_i| < 2^(q+1), outside
+    which phi_q vanishes."""
+    r = 2 ** (q + 1)
+    return r, r - 1, r
+
+
+def _cross_terms(phys, uq_phys, out):
+    """Each component's cross term u_q,i u_j + u_i u_q,j in SYM_PAIRS order,
+    written in turn into ``out``; beside it only the second product of an
+    off-diagonal term is held.  A diagonal term is one product, doubled (x + x)."""
+    for i, j in SYM_PAIRS:
+        np.multiply(uq_phys[i], phys[j], out=out)
+        out += out if i == j else phys[i] * uq_phys[j]
+        yield out
+
+
+def _spectrum_sums(phys, what, mult, uq_phys):
+    """Per component, n^6 times ||r_m||_2^2 over the whole half spectrum: the
+    squares of n^3 mult (u o u)^_m less the rfftn of its cross term.  ``mult``
+    is scaled by n^3 in place.  One buffer of n^3 + 2 n^2 floats holds in turn
+    a component's cross term (n^3 grid values), its n^3 mult (u o u)^_m (a half
+    spectrum of complex values) and its density |c|^2 (a real half spectrum),
+    so beside it only the rfftn result and, while an off-diagonal cross term is
+    summed, its second product are held."""
     n = phys.shape[-1]
-    scale = float(n) ** 3
-    mult *= scale
+    mult *= float(n) ** 3
     shape = mult.shape
     buf = np.empty(2 * mult.size)
-    cross = buf[: n**3].reshape(phys.shape[1:])
     target = buf.view(complex).reshape(shape)
     density = buf[: mult.size].reshape(shape)
     weight = _lattice(n)[4]
     sums = np.empty(len(SYM_PAIRS))
-    for m, (i, j) in enumerate(SYM_PAIRS):
-        np.multiply(uq_phys[i], phys[j], out=cross)
-        cross += cross if i == j else phys[i] * uq_phys[j]
+    for m, cross in enumerate(_cross_terms(phys, uq_phys, buf[: n**3].reshape(phys.shape[1:]))):
         c = _fft.rfftn(cross)
         np.subtract(np.multiply(mult, what[m], out=target), c, out=c)
         np.abs(c, out=density)
@@ -139,19 +171,59 @@ def _remainder_l2(phys, what, mult, uq_phys) -> float:
         density **= 2
         density *= weight
         sums[m] = BOX_VOLUME * np.sum(density, axis=(-3, -2, -1))  # as _lattice_sum sums
-    return math.sqrt(float(np.sum(SYM_WEIGHTS * sums))) / scale
+    return sums
+
+
+def _cube_sums(phys, what, mult, uq_phys, q):
+    """Per component, n^6 times ||r_m||_2^2 with only the support cube's modes
+    |k_i| < r = 2^(q+1) transformed.  phi_q vanishes outside the cube, so there
+    r_m is minus the cross term c_m, and its energy is c_m's total, n^3 sum_x
+    cross_m^2 by discrete Parseval, less c_m's energy inside the cube.  That
+    difference can cancel to round-off (a cross term wholly inside the cube);
+    a negative one counts as 0.  Beside the cross term only its second product
+    or its partial transform, n^2 r values, is held."""
+    n = phys.shape[-1]
+    scale = float(n) ** 3
+    extent = _support_extent(q)
+    r = extent[0]
+    cube_mult = _cut(mult, extent)
+    cube_mult *= scale
+    weight = _lattice(n)[4][..., :r]
+    sums = np.empty(len(SYM_PAIRS))
+    for m, cross in enumerate(_cross_terms(phys, uq_phys, np.empty(phys.shape[1:]))):
+        c = _fft.rfftn_cube(cross, r=r)
+        total = scale * float(np.einsum("ijk,ijk->", cross, cross))
+        outside = total - float(np.sum(weight * np.abs(c) ** 2))
+        inside = float(np.sum(weight * np.abs(cube_mult * _cut(what[m], extent) - c) ** 2))
+        sums[m] = BOX_VOLUME * (inside + max(outside, 0.0))
+    return sums
+
+
+def _remainder_l2(phys, what, mult, uq_phys, q) -> float:
+    """:func:`tensor_l2_norm` of r_q in one working set, one component at a time:
+    bit for bit on a shell with 2^(q+3) >= n (:func:`_spectrum_sums`), and equal
+    to 1e-13 relative on a coarse shell (:func:`_cube_sums`).
+
+    Each component is compared unnormalised, n^3 mult (u o u)^_m against the
+    rfftn of its cross terms, and the norm is divided by n^3 at the end; n^3 is
+    a power of two, so every value is n^3 times its normalised one exactly."""
+    n = phys.shape[-1]
+    if _forward_to_cube(n, q):
+        sums = _cube_sums(phys, what, mult, uq_phys, q)
+    else:
+        sums = _spectrum_sums(phys, what, mult, uq_phys)
+    return math.sqrt(float(np.sum(SYM_WEIGHTS * sums))) / float(n) ** 3
 
 
 def _shell_grid_values(u: SpectralVelocity, mult, q):
-    """u_q's n-point grid values, one component at a time.  A coarse shell,
-    2^(q+3) < n, is transformed from its support cube |k_i| < 2^(q+1), where
-    phi_q vanishes outside, by :func:`lpns._fft.irfftn_cube`: the same bits as
-    the full inverse of c * mult, in less than half its time."""
+    """u_q's n-point grid values, one component at a time.  A shell with
+    :func:`_inverse_from_cube` is transformed from its support cube
+    (:func:`_support_extent`) by :func:`lpns._fft.irfftn_cube`: the same bits
+    as the full inverse of c * mult, in less time."""
     n = u.grid.n
-    if 2 ** (q + 3) >= n:
+    if not _inverse_from_cube(n, q):
         return [_physical(c * mult) for c in u.coeffs]
-    r = 2 ** (q + 1)
-    extent = (r, r - 1, r)
+    extent = _support_extent(q)
     cube_mult = _cut(mult, extent)
     return [_fft.irfftn_cube(_cut(c, extent) * cube_mult, n=n) for c in u.coeffs]
 
@@ -167,7 +239,8 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     transformed one component at a time, so no six-component physical tensor is
     held.  With ``_l2`` the result is :func:`tensor_l2_norm` of the tensor,
     reduced inside this call by :func:`_remainder_l2`: no six-component tensor
-    is held at all."""
+    is held at all.  It is that norm bit for bit on a shell with 2^(q+3) >= n,
+    and equal to 1e-13 relative on a coarse shell."""
     bank.check_shell(q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
@@ -175,7 +248,7 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     mult = bank.multiplier(q)
     uq_phys = _shell_grid_values(u, mult, q) if _uq_phys is None else _uq_phys
     if _l2:
-        return _remainder_l2(phys, what, mult, uq_phys)
+        return _remainder_l2(phys, what, mult, uq_phys, q)
     out = np.empty((len(SYM_PAIRS), *mult.shape), dtype=complex)
     for m, (i, j) in enumerate(SYM_PAIRS):
         np.multiply(mult, what[m], out=out[m])
@@ -299,15 +372,19 @@ def _shell_fields(u: SpectralVelocity, bank: FilterBank):
     a zero-padded 2n grid on white noise at n = 16 to 64 (exact values need the
     3/2 rule, Orszag 1971).
 
-    Each component is cut, filtered and transformed on its own.  The generator
-    holds no shell's values once it resumes, so a caller that drops its own
-    reference before asking for the next shell holds one shell at a time.
+    Each component is cut, filtered and transformed on its own; the n-point
+    values (M = n) are :func:`_shell_grid_values`'s.  The generator holds no
+    shell's values once it resumes, so a caller that drops its own reference
+    before asking for the next shell holds one shell at a time.
     """
     n = u.grid.n
     for i, q in enumerate(bank.shells):
         m = min(n, 2 ** (q + 3))
         filt = bank.phi[i][_lattice(m)[3]]
-        values = [_physical(_shell_cut(c, m, filt)) for c in u.coeffs]
+        if m == n:
+            values = _shell_grid_values(u, filt, q)
+        else:
+            values = [_physical(_shell_cut(c, m, filt)) for c in u.coeffs]
         del filt
         yield q, m, values
         del values

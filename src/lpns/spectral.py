@@ -17,9 +17,11 @@ apply that weight.
 This module owns the discrete form of that convention.  ``_hat`` and
 ``_physical`` are the one transform pair (rfftn / n^3 and irfftn * n^3 over
 the last three axes); every transform of the package goes through them except
-the time step's forward transform, the O(n^6) oracle's kernel, and the two of
-a remainder norm in ``flux``: a coarse shell's u_q from its support cube
-(``_fft.irfftn_cube``) and the unnormalised rfftn of each cross term.  The
+the time step's forward transform, the O(n^6) oracle's kernel, and the shell
+transforms in ``flux``: u_q's n-point values, from its support cube where
+2^(q+3) <= n (``_fft.irfftn_cube``), and in a remainder norm each cross term's
+unnormalised rfftn, only on that cube where 2^(q+3) < n
+(``_fft.rfftn_cube``).  The
 lattice is stored once per n (``_lattice``): the integer wavenumber axes
 shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
 half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -56,20 +57,30 @@ def peak_allocation(call):
         tracemalloc.stop()
 
 
+def fft_entries():
+    """The functions of ``lpns._fft`` with an ``axes`` parameter, by name: the
+    transforms that the benchmark tracer wraps."""
+    return {name: fn for name, fn in vars(_fft).items()
+            if inspect.isfunction(fn) and "axes" in inspect.signature(fn).parameters}
+
+
 def count_transforms(call):
-    """Transforms made by call(), counted as the benchmark tracer counts them: each
-    call into ``lpns._fft`` adds its batch, the product of the axes it does not
-    transform.  A pruned ``irfftn_cube`` call counts alike, one per component."""
+    """Transforms made by call(), counted as the benchmark tracer counts them: every
+    entry of ``fft_entries`` is wrapped, and each call adds its batch, the product
+    of the axes it does not transform.  A pruned ``irfftn_cube`` or ``rfftn_cube``
+    call counts alike, one per component."""
     count = 0
-    originals = {name: getattr(_fft, name)
-                 for name in ("fftn", "ifftn", "rfftn", "irfftn", "irfftn_cube")}
+    originals = fft_entries()
 
     def counting(fn):
-        def wrapper(a, axes=(-3, -2, -1), **kwargs):
+        default_axes = inspect.signature(fn).parameters["axes"].default
+
+        def wrapper(a, *args, **kwargs):
             nonlocal count
+            axes = kwargs.get("axes", args[0] if args else default_axes)
             transformed = {ax % a.ndim for ax in axes}
             count += math.prod(a.shape[d] for d in range(a.ndim) if d not in transformed)
-            return fn(a, axes=axes, **kwargs)
+            return fn(a, *args, **kwargs)
         return wrapper
 
     try:
@@ -146,5 +157,5 @@ def mode_keyed_field(n, seed, kcap=10, decay=0.02):
     return dealias(u)
 
 
-__all__ = ["count_transforms", "dealias_mask", "half_spectrum", "mode_keyed_field",
+__all__ = ["count_transforms", "dealias_mask", "fft_entries", "half_spectrum", "mode_keyed_field",
            "negative_zero_noise", "peak_allocation", "random_solenoidal_field", "single_mode_field"]
