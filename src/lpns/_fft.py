@@ -12,12 +12,14 @@ transform, however many passes the entry makes inside.  So each entry calls
 again.
 
 Two transforms are pruned (Markel, IEEE Trans. Audio Electroacoust. 19, 305,
-1971): pass by pass, each transforms only the lines that a small cube of modes
+1971): pass by pass, each transforms only the lines that a cube of modes
 |k_i| < r occupies, with the bits of the full transform.  ``irfftn_cube`` gives
 the grid values of a field whose modes lie in the cube, and ``rfftn_cube`` the
-cube's modes of real grid values.  Both pay on a shell's support cube, which
-``flux`` transforms up to r = n/4 for the inverse and r = n/8 for the forward;
-neither pays on the retained block, 2/3 of the grid per axis.
+cube's modes of real grid values.  Both take any cube with 2r <= n.  Both pay
+on a shell's support cube, which ``flux`` transforms up to r = n/4 for the
+inverse and r = n/8 for the forward.  The forward one also pays on the
+retained block |k_i| <= k_max, r = k_max + 1, from which
+``spectral.dealiased_spectrum`` takes a snapshot's coefficients.
 """
 
 import os
@@ -68,8 +70,8 @@ def rfftn_cube(a, axes=(-3, -2, -1), *, r):
     w = workers()
     a = np.moveaxis(a, axes, (-3, -2, -1))
     n = a.shape[-1]
-    if a.shape[-3:] != (n, n, n) or 8 * r > n:
-        raise ValueError(f"a cube |k_i| < {r} of {a.shape[-3:]} values needs 8 r <= n")
+    if a.shape[-3:] != (n, n, n) or 2 * r > n:
+        raise ValueError(f"a cube |k_i| < {r} of {a.shape[-3:]} values needs 2 r <= n")
     lead = a.shape[:-3]
     planes = np.empty((*lead, n, n, r), dtype=complex)
     for x in range(0, n, 8):

@@ -35,14 +35,11 @@ from .snapshots import read_snapshot, write_snapshot
 from .solver import SolverParams, admissible_dt, simulate
 from .spectral import (
     GridSpec,
-    dealias,
+    dealiased_spectrum,
     divergence_residual,
-    forward_transform,
     inverse_transform,
-    leray_project,
     make_random_field,
     make_taylor_green,
-    zero_mean,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -185,9 +182,7 @@ def _initial_field(cfg: RunConfig, grid: GridSpec):
         raise ConfigurationError(
             f"snapshot grid n={phys.grid.n} does not match configured n={grid.n}"
         )
-    return zero_mean(dealias(leray_project(forward_transform(
-        type(phys)(grid, phys.values, phys.time)
-    ))))
+    return dealiased_spectrum(type(phys)(grid, phys.values, phys.time), project=True)
 
 
 def _checked_initial_field(cfg: RunConfig, grid: GridSpec):
@@ -300,7 +295,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     phys, meta = read_snapshot(args.snapshot)
     nu = args.nu if args.nu is not None else float(meta.get("nu", 1.0))
-    u = zero_mean(dealias(forward_transform(phys)))
+    u = dealiased_spectrum(phys)
     snapshot_time = phys.time
     del phys  # the report needs only the coefficients
     bank = build_filter_bank(u.grid)

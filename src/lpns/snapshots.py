@@ -4,12 +4,18 @@ Layout: magic "LPNS", version byte 0x01, little-endian u32 n, little-endian
 f64 time, then 3*n^3 little-endian f64 physical values in component-major,
 z-fastest order.  The sidecar (same basename, ".json") records the grid,
 viscosity, seed, and generator provenance.
+
+``read_snapshot`` checks the header and the file size first, then reads the
+payload in one ``readinto`` into an aligned float64 array, which it returns.
+The payload starts 17 bytes into the file, so a view of the file's bytes would
+be misaligned and every transform of it slower.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -59,26 +65,35 @@ def write_snapshot(path, field: PhysicalVelocity, meta: dict | None = None) -> N
 
 def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
     """Read a snapshot; raises ConfigurationError on a bad header, size or sidecar,
-    or on a non-finite time or value."""
+    or on a non-finite time or value.
+
+    The header and the file size are checked before the payload is allocated.
+    The payload is read straight into one aligned, writable, C-contiguous
+    float64 array: no bytes object and no copy.  A read that comes up short,
+    because the file shrank after the size check, raises."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ConfigurationError(f"{path}: truncated header")
+            magic, version, n, time = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise ConfigurationError(f"{path}: bad magic {magic!r}; not an LPNS snapshot")
+            if version != VERSION:
+                raise ConfigurationError(f"{path}: unsupported snapshot version {version}")
+            if not math.isfinite(time):
+                raise ConfigurationError(f"{path}: non-finite time {time} in header")
+            size = os.fstat(fh.fileno()).st_size
+            expected = _HEADER.size + 3 * n**3 * 8
+            if size != expected:
+                raise ConfigurationError(f"{path}: payload is {size} bytes, expected {expected}")
+            values = np.empty((3, n, n, n), dtype="<f8")
+            got = fh.readinto(memoryview(values).cast("B"))
     except OSError as exc:
         raise ConfigurationError(f"cannot read snapshot {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise ConfigurationError(f"{path}: truncated header")
-    magic, version, n, time = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ConfigurationError(f"{path}: bad magic {magic!r}; not an LPNS snapshot")
-    if version != VERSION:
-        raise ConfigurationError(f"{path}: unsupported snapshot version {version}")
-    if not math.isfinite(time):
-        raise ConfigurationError(f"{path}: non-finite time {time} in header")
-    expected = _HEADER.size + 3 * n**3 * 8
-    if len(raw) != expected:
-        raise ConfigurationError(
-            f"{path}: payload is {len(raw)} bytes, expected {expected}"
-        )
+    if got != values.nbytes:
+        raise ConfigurationError(f"{path}: payload ended after {got} of {values.nbytes} bytes")
     meta = {}
     side = sidecar_path(path)
     if side.exists():
@@ -94,11 +109,7 @@ def read_snapshot(path) -> tuple[PhysicalVelocity, dict]:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{side}: malformed sidecar value: {exc}") from exc
     grid = GridSpec(n, fraction)
-    values = (
-        np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-        .reshape(3, n, n, n)
-        .astype(np.float64)
-    )
+    values = values.astype(np.float64, copy=False)  # a copy only on a big-endian host
     if not np.all(np.isfinite(values)):
         raise ConfigurationError(f"{path}: payload holds non-finite values")
     return PhysicalVelocity(grid, values, time), meta

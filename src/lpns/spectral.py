@@ -17,11 +17,12 @@ apply that weight.
 This module owns the discrete form of that convention.  ``_hat`` and
 ``_physical`` are the one transform pair (rfftn / n^3 and irfftn * n^3 over
 the last three axes); every transform of the package goes through them except
-the time step's forward transform, the O(n^6) oracle's kernel, and the shell
-transforms in ``flux``: u_q's n-point values, from its support cube where
-2^(q+3) <= n (``_fft.irfftn_cube``), and in a remainder norm each cross term's
-unnormalised rfftn, only on that cube where 2^(q+3) < n
-(``_fft.rfftn_cube``).  The
+the time step's forward transform, the O(n^6) oracle's kernel, a snapshot's
+coefficients, taken from the retained block only below fraction 1
+(``dealiased_spectrum``, by ``_fft.rfftn_cube``), and the shell transforms in
+``flux``: u_q's n-point values, from its support cube where 2^(q+3) <= n
+(``_fft.irfftn_cube``), and in a remainder norm each cross term's unnormalised
+rfftn, only on that cube where 2^(q+3) < n (``_fft.rfftn_cube``).  The
 lattice is stored once per n (``_lattice``): the integer wavenumber axes
 shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
 half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also
@@ -66,14 +67,18 @@ def _lattice(n):
     return kx, ky, kz, k2, weight
 
 
-@functools.lru_cache(maxsize=16)
-def _inverse_k2(n):
-    """Read-only 1/|k|^2 on the half spectrum, 0 at k = 0: the Leray projector's divisor."""
-    k2 = _lattice(n)[3]
+def _inverse(k2):
+    """Read-only 1/k2 of integer |k|^2 values, 0 where k2 = 0: the Leray projector's divisor."""
     inv = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
     np.divide(1.0, k2, out=inv, where=k2 > 0)
     inv.flags.writeable = False
     return inv
+
+
+@functools.lru_cache(maxsize=16)
+def _inverse_k2(n):
+    """Read-only 1/|k|^2 on the half spectrum, 0 at k = 0."""
+    return _inverse(_lattice(n)[3])
 
 
 def _corners(n, lo, hi, depth):
@@ -118,13 +123,14 @@ def _keep_block(c, grid):
 
 @functools.lru_cache(maxsize=16)
 def _dealias_block(n, k_max):
-    """The retained block: its extent and its read-only (kx, ky, kz) and 1/|k|^2."""
+    """The retained block: its extent and its read-only (kx, ky, kz) and 1/|k|^2,
+    made on the block alone, so no half-spectrum table is built or kept."""
     lo, hi, depth = extent = _block_extent(n, k_max)
     kx, _, kz = _lattice(n)[:3]
     axis = np.concatenate((kx[:lo], kx[n - hi :]))
-    inv = _cut(_inverse_k2(n), extent)
-    axis.flags.writeable = inv.flags.writeable = False
-    return extent, (axis, axis.reshape(1, -1, 1), kz[..., :depth]), inv
+    axis.flags.writeable = False
+    k = (axis, axis.reshape(1, -1, 1), kz[..., :depth])
+    return extent, k, _inverse(k[0] * k[0] + k[1] * k[1] + k[2] * k[2])
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,39 @@ def zero_mean(u: SpectralVelocity) -> SpectralVelocity:
     return out
 
 
+def dealiased_spectrum(f: PhysicalVelocity, project: bool = False) -> SpectralVelocity:
+    """zero_mean(dealias(forward_transform(f))) bit for bit, with ``leray_project``
+    applied before ``dealias`` when project is set.
+
+    Below fraction 1 the retained block |k_i| <= k_max is a cube |k_i| < r with
+    2r <= n, so only the block is transformed (``_fft.rfftn_cube``), scaled by
+    1/n^3 (exact: n^3 is a power of two), projected on the block when asked,
+    and plus 0.0 as in ``_keep_block``.  It is pasted into a half spectrum whose
+    every element is written: pages left to np.zeros would be faulted in by the
+    report that reads them.  At fraction 1 the block is the whole half
+    spectrum, which is not such a cube, and the full transform is taken."""
+    grid = f.grid
+    if grid.k_max == grid.n // 2:
+        u = forward_transform(f)
+        return zero_mean(dealias(leray_project(u) if project else u))
+    if f.values.shape != (3, *grid.shape):
+        raise ConfigurationError(
+            f"field shape {f.values.shape} does not match grid {(3, *grid.shape)}"
+        )
+    lo, hi, depth = _block_extent(grid.n, grid.k_max)
+    block = _fft.rfftn_cube(f.values, r=grid.k_max + 1)
+    block /= grid.n**3
+    if project:
+        _, k, inv_k2 = _dealias_block(grid.n, grid.k_max)
+        _project_coeffs(block, k, inv_k2)
+    block += 0.0  # -0.0 + 0.0 is +0.0, as in _keep_block
+    block[:, 0, 0, 0] = 0.0
+    coeffs = np.empty((3, *grid.spectral_shape), dtype=np.complex128)
+    outside = slice(lo, grid.n - hi)  # |k| > k_max in FFT order
+    coeffs[..., depth:] = coeffs[:, outside, :, :depth] = coeffs[:, :, outside, :depth] = 0.0
+    return SpectralVelocity(grid, _paste(block, (lo, hi, depth), coeffs), f.time)
+
+
 def is_dealiased(u: SpectralVelocity) -> bool:
     """No coefficient with max-norm |k_i| > k_max.  The modes outside the block are
     the slabs |kx| > k_max, |ky| > k_max and kz > k_max, tested as views."""
@@ -316,11 +355,18 @@ def divergence_residual(u: SpectralVelocity) -> float:
 
     Modes below 1e-13 of the peak coefficient magnitude carry no field content
     and are excluded, so transform round-off junk does not dominate the ratio.
-    |u_hat| and k . u_hat are summed one component at a time, in place, so no
-    three-component temporary is made.
+    A dealiased field below fraction 1 is read on its retained block only: the
+    zero modes outside it fall below that threshold and leave the peak alone.
+    |u_hat| and k . u_hat are summed one component at a time, in place, and the
+    ratio is taken in place where it is defined, so no three-component temporary
+    and no gathered copy is made.
     """
-    kx, ky, kz, k2, _ = _lattice(u.grid.n)
+    n, k_max = u.grid.n, u.grid.k_max
+    kx, ky, kz, k2, _ = _lattice(n)
     c = u.coeffs
+    if k_max < n // 2 and is_dealiased(u):
+        extent, (kx, ky, kz), _ = _dealias_block(n, k_max)
+        c, k2 = _cut(c, extent), _cut(k2, extent)
     vecmag = np.abs(c[0]) ** 2
     vecmag += np.abs(c[1]) ** 2
     vecmag += np.abs(c[2]) ** 2
@@ -334,7 +380,11 @@ def divergence_residual(u: SpectralVelocity) -> float:
     div = kx * c[0]
     div += ky * c[1]
     div += kz * c[2]
-    return float(np.max(np.abs(div[good]) / (np.sqrt(k2[good]) * vecmag[good])))
+    ratio = np.abs(div)
+    del div
+    vecmag *= np.sqrt(k2)
+    np.divide(ratio, vecmag, out=ratio, where=good)
+    return float(np.max(ratio, where=good, initial=0.0))
 
 
 def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lpns.cli
 import lpns.solver
 from lpns.bounds import riccati_solve
 from lpns.cli import CSV_COLUMNS, main, parse_config_text
@@ -17,7 +18,17 @@ from lpns.errors import ConfigurationError, DivergenceError, StepSizeError
 from lpns.lp import build_filter_bank
 from lpns.snapshots import read_snapshot, sidecar_path, write_snapshot
 from lpns.solver import SolverParams, TrajectoryRow, simulate
-from lpns.spectral import GridSpec, inverse_transform, make_taylor_green, zero_velocity
+from lpns.spectral import (
+    GridSpec,
+    PhysicalVelocity,
+    dealias,
+    forward_transform,
+    inverse_transform,
+    leray_project,
+    make_taylor_green,
+    zero_mean,
+    zero_velocity,
+)
 from lpns.verify import nlt_suite
 
 EXPECTED_HEADER = "t,E,enstrophy,H1,H32,y,riccati_lhs,riccati_rhs,A,B,C,flux_sum"
@@ -264,6 +275,33 @@ class TestSimulateCommand:
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize("fraction", ["2/3", "1/2"])
+    def test_snapshot_start_writes_the_bytes_of_the_full_transform(self, tmp_path, monkeypatch,
+                                                                  fraction):
+        """An ``ic = snapshot`` run from a field that is not solenoidal writes the
+        CSV and manifest of the full-spectrum formula that the block transform
+        replaced.  At fraction 1 ``dealiased_spectrum`` is that formula."""
+        grid = GridSpec(16)
+        snapshot = tmp_path / "noise.lpns"
+        noise = 0.05 * np.random.default_rng(2).standard_normal((3, 16, 16, 16))
+        write_snapshot(snapshot, PhysicalVelocity(grid, noise), {"nu": 0.5})
+
+        def full_formula(f, project=False):
+            return zero_mean(dealias(leray_project(forward_transform(f))))
+
+        outputs = []
+        for formula in (None, full_formula):
+            if formula is not None:
+                monkeypatch.setattr(lpns.cli, "dealiased_spectrum", formula)
+            out = tmp_path / f"out{len(outputs)}"
+            cfg = tmp_path / "snap.cfg"
+            write_config(cfg, ic="snapshot", snapshot=str(snapshot), amplitude=None,
+                         dealias=fraction, diag_every=1, t_end=0.005, out=str(out))
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("diagnostics.csv", "run_manifest.json")])
+        assert outputs[0] == outputs[1]
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = tmp_path / "a.cfg"
         write_config(cfg1, ic="random", seed=7, spectrum="0:0.2,1:0.1", out=str(tmp_path / "o1"))
@@ -386,6 +424,20 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_reads_and_builds_through_the_module_globals(self, tmp_path, grid32, capsys,
+                                                         monkeypatch):
+        """The benchmark tracer wraps ``read_snapshot`` and ``build_filter_bank``
+        as attributes of ``lpns.cli``, and fails a traced run they do not fire in."""
+        path = tmp_path / "tg.lpns"
+        write_snapshot(path, inverse_transform(make_taylor_green(grid32, 1.0)), {"nu": 0.1})
+        fired = []
+        for name in ("read_snapshot", "build_filter_bank"):
+            fn = getattr(lpns.cli, name)
+            monkeypatch.setattr(lpns.cli, name,
+                                lambda *a, _fn=fn, _name=name: fired.append(_name) or _fn(*a))
+        assert main(["analyze", str(path)]) == 0
+        assert fired == ["read_snapshot", "build_filter_bank"]
 
     def test_truncated_file_exits_2(self, tmp_path, grid16):
         path = tmp_path / "tg.lpns"

@@ -395,13 +395,13 @@ class TestForwardCubeTransform:
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_equal_to_the_cut_rfftn_bit_for_bit(self, n, fraction):
-        """Every cube |k_i| < r with 8 r <= n of the six products of a field's
-        grid values."""
+        """Every cube |k_i| < r with 2 r <= n of the six products of a field's
+        grid values: the shells' support cubes and the retained block."""
         phys = _physical(random_solenoidal_field(GridSpec(n, dealias_fraction=fraction), 3).coeffs)
         for i, j in SYM_PAIRS:
             values = phys[i] * phys[j]
             full = _fft.rfftn(values)
-            for r in range(1, n // 8 + 1):
+            for r in range(1, n // 2 + 1):
                 assert _fft.rfftn_cube(values, r=r).tobytes() == _cut(full, (r, r - 1, r)).tobytes()
 
     def test_stacked_and_moved_axes_count_one_transform_per_component(self, grid32):
@@ -413,9 +413,12 @@ class TestForwardCubeTransform:
             assert np.moveaxis(moved, -1, 0).tobytes() == values.tobytes()
             assert count_transforms(lambda: _fft.rfftn_cube(phys, r=r)) == 3
 
-    def test_rejects_a_cube_wider_than_an_eighth_of_the_grid(self):
+    def test_rejects_a_cube_wider_than_half_the_grid(self):
+        """2 r <= n, the bound of ``irfftn_cube``: at r = n/2 + 1 the cube would
+        hold the Nyquist row twice."""
+        assert _fft.rfftn_cube(np.zeros((16, 16, 16)), r=8).shape == (15, 15, 8)
         with pytest.raises(ValueError):
-            _fft.rfftn_cube(np.zeros((16, 16, 16)), r=3)
+            _fft.rfftn_cube(np.zeros((16, 16, 16)), r=9)
         with pytest.raises(ValueError):
             _fft.rfftn_cube(np.zeros((16, 16, 8)), r=1)
 

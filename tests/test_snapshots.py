@@ -1,14 +1,19 @@
 import json
 import math
+import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import lpns.snapshots
 from lpns.cli import main
 from lpns.errors import ConfigurationError
 from lpns.snapshots import _HEADER, read_snapshot, sidecar_path, write_snapshot
-from lpns.spectral import inverse_transform, make_taylor_green
+from lpns.spectral import GridSpec, inverse_transform, make_taylor_green, random_solenoidal_field
+
+from conftest import peak_allocation
 
 
 @pytest.fixture
@@ -48,6 +53,22 @@ class TestRoundTrip:
         assert flat[0] == tg_physical.values[0, 0, 0, 0]
         assert flat[1] == tg_physical.values[0, 0, 0, 1]          # z fastest
         assert flat[16**3] == tg_physical.values[1, 0, 0, 0]      # component major
+
+    def test_values_are_aligned_writable_contiguous_float64(self, tmp_path, tg_physical):
+        path = tmp_path / "field.lpns"
+        write_snapshot(path, tg_physical)
+        values = read_snapshot(path)[0].values
+        assert values.dtype == np.float64 and values.shape == (3, 16, 16, 16)
+        assert values.flags.aligned and values.flags.writeable and values.flags.c_contiguous
+
+    def test_peak_allocation_is_one_payload(self, tmp_path):
+        """The payload is read into the returned array: no bytes object and no
+        converted copy (2.13 payloads before), only the finiteness mask."""
+        grid = GridSpec(32)
+        path = tmp_path / "field.lpns"
+        write_snapshot(path, inverse_transform(random_solenoidal_field(grid, 1)))
+        payload = 3 * 32**3 * 8
+        assert peak_allocation(lambda: read_snapshot(path)) <= 1.25 * payload
 
     def test_sidecar_written(self, tmp_path, tg_physical):
         path = tmp_path / "field.lpns"
@@ -126,6 +147,25 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_header_and_size_are_checked_before_the_payload_is_allocated(self, tmp_path):
+        """A header that claims n = 2^20 would need a 24 EiB payload, which numpy
+        would refuse with a MemoryError."""
+        path = tmp_path / "huge.lpns"
+        path.write_bytes(_HEADER.pack(b"LPNS", 1, 2**20, 0.0) + bytes(64))
+        with pytest.raises(ConfigurationError, match="expected"):
+            read_snapshot(path)
+
+    def test_file_that_shrinks_after_the_size_check(self, tmp_path, tg_physical, monkeypatch):
+        """A short read raises, naming the path, and returns no uninitialised values."""
+        path = tmp_path / "field.lpns"
+        write_snapshot(path, tg_physical)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: size - 8])
+        stale = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size))
+        monkeypatch.setattr(lpns.snapshots, "os", stale)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: payload ended")):
+            read_snapshot(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

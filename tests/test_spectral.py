@@ -20,6 +20,7 @@ from lpns.spectral import (
     PhysicalVelocity,
     SpectralVelocity,
     dealias,
+    dealiased_spectrum,
     divergence_residual,
     energy,
     enstrophy,
@@ -32,11 +33,12 @@ from lpns.spectral import (
     make_random_field,
     lp_norm,
     make_taylor_green,
+    zero_mean,
     zero_velocity,
 )
 
-from conftest import (dealias_mask, half_spectrum, negative_zero_noise, peak_allocation,
-                      random_solenoidal_field, single_mode_field)
+from conftest import (count_transforms, dealias_mask, half_spectrum, negative_zero_noise,
+                      peak_allocation, random_solenoidal_field, single_mode_field)
 
 
 class TestGridSpec:
@@ -219,20 +221,35 @@ class TestLerayProjection:
             u = random_solenoidal_field(grid32, seed)
             assert divergence_residual(u) < 1e-12
 
-    @pytest.mark.parametrize("solenoidal", [True, False], ids=["solenoidal", "raw-noise"])
+    @pytest.mark.parametrize("field", ["solenoidal", "raw-noise", "taylor-green", "faint-modes"])
     @pytest.mark.parametrize("n", [16, 32])
-    def test_divergence_residual_equals_a_batched_reference_bit_for_bit(self, n, solenoidal):
-        """Summing one component at a time changes no bit of the batched formula."""
+    def test_divergence_residual_equals_a_batched_reference_bit_for_bit(self, n, field):
+        """Summing one component at a time, dividing in place where the ratio is
+        defined and reading a dealiased field on its block change no bit of the
+        batched formula with gathered modes: on white noise, Taylor-Green, a
+        field that is neither solenoidal nor dealiased, and one with modes below
+        1e-13 of its peak."""
         grid = GridSpec(n)
         rng = np.random.default_rng(n)
         raw = forward_transform(PhysicalVelocity(grid, rng.standard_normal((3, n, n, n))))
-        u = random_solenoidal_field(grid, 3) if solenoidal else raw
+        if field == "solenoidal":
+            u = random_solenoidal_field(grid, 3)
+        elif field == "raw-noise":
+            u = raw
+        elif field == "taylor-green":
+            u = make_taylor_green(grid, 1.0)
+        else:  # every other kx row falls below 1e-13 of the peak
+            u = random_solenoidal_field(grid, 3)
+            u.coeffs[:, 1::2] *= 1e-15
         kx, ky, kz, k2, _ = _lattice(n)
         vecmag = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=0))
         good = (k2 > 0) & (vecmag > 1e-13 * np.max(vecmag))
         num = np.abs(kx * u.coeffs[0] + ky * u.coeffs[1] + kz * u.coeffs[2])
         reference = float(np.max(num[good] / (np.sqrt(k2[good]) * vecmag[good])))
         assert divergence_residual(u) == reference
+
+    def test_divergence_residual_of_the_zero_field_is_zero(self, grid16):
+        assert divergence_residual(zero_velocity(grid16)) == 0.0
 
     def test_energy_non_increasing(self, grid16):
         rng = np.random.default_rng(6)
@@ -379,6 +396,47 @@ class TestDealiasBlock:
         assert np.array_equal(inv, _inverse_k2(n))
         c = np.random.default_rng(1).standard_normal((3, *grid.spectral_shape)) + 0j
         assert _cut(c, extent).tobytes() == c.tobytes()
+
+
+class TestDealiasedSpectrum:
+    @staticmethod
+    def reference(f, project):
+        u = forward_transform(f)
+        return zero_mean(dealias(leray_project(u) if project else u))
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_equal_to_the_full_transform_bit_for_bit(self, n, fraction):
+        """Raw noise and a dealiased solenoidal field, with and without the Leray
+        projection of the ``ic = snapshot`` path."""
+        grid = GridSpec(n, fraction)
+        noise = np.random.default_rng(n).standard_normal((3, n, n, n))
+        for values in (noise, inverse_transform(random_solenoidal_field(grid, 2)).values):
+            f = PhysicalVelocity(grid, values, 0.75)
+            for project in (False, True):
+                u = dealiased_spectrum(f, project=project)
+                assert u.coeffs.tobytes() == self.reference(f, project).coeffs.tobytes()
+                assert u.grid == grid and u.time == 0.75
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
+    def test_modes_outside_the_block_are_positive_zero(self, fraction):
+        grid = GridSpec(32, fraction)
+        f = PhysicalVelocity(grid, np.random.default_rng(5).standard_normal((3, 32, 32, 32)))
+        for project in (False, True):
+            c = dealiased_spectrum(f, project=project).coeffs
+            outside = c[:, ~dealias_mask(grid)]
+            assert not np.any(outside)
+            assert not np.any(np.signbit(outside.real)) and not np.any(np.signbit(outside.imag))
+            assert c[:, 0, 0, 0].tobytes() == np.zeros(3, dtype=complex).tobytes()
+
+    def test_block_path_makes_one_transform_per_component(self, grid32):
+        f = inverse_transform(random_solenoidal_field(grid32, 1))
+        assert count_transforms(lambda: dealiased_spectrum(f)) == 3
+        assert count_transforms(lambda: dealiased_spectrum(f, project=True)) == 3
+
+    def test_rejects_a_field_off_its_grid(self, grid16):
+        with pytest.raises(ConfigurationError):
+            dealiased_spectrum(PhysicalVelocity(grid16, np.zeros((3, 8, 8, 8))))
 
 
 class TestTaylorGreen:
