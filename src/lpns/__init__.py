@@ -42,10 +42,7 @@ from .spectral import (
     GridSpec,
     PhysicalVelocity,
     SpectralVelocity,
-    dealias,
-    forward_transform,
     inverse_transform,
-    leray_project,
     make_random_field,
     make_taylor_green,
     zero_velocity,

@@ -15,11 +15,10 @@ Two transforms are pruned (Markel, IEEE Trans. Audio Electroacoust. 19, 305,
 1971): pass by pass, each transforms only the lines that a cube of modes
 |k_i| < r occupies, with the bits of the full transform.  ``irfftn_cube`` gives
 the grid values of a field whose modes lie in the cube, and ``rfftn_cube`` the
-cube's modes of real grid values.  Both take any cube with 2r <= n.  Both pay
-on a shell's support cube, which ``flux`` transforms up to r = n/4 for the
-inverse and r = n/8 for the forward.  The forward one also pays on the
-retained block |k_i| <= k_max, r = k_max + 1, from which
-``spectral.dealiased_spectrum`` takes a snapshot's coefficients.
+cube's modes of real grid values.  Both take any cube with 2r <= n: a shell's
+support cube in ``flux``, and, for the forward one, the retained block
+|k_i| <= k_max, r = k_max + 1, which is such a cube at every dealias fraction
+(``spectral.dealiased_spectrum``).
 """
 
 import os

@@ -36,8 +36,8 @@ import numpy as np
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError
 from .lp import FilterBank, phi_profile, shell_energies, truncate_low
-from .spectral import (BOX_LENGTH, BOX_VOLUME, SpectralVelocity, _cut, _hat, _lattice, _lattice_sum,
-                       _physical, is_dealiased)
+from .spectral import (BOX_LENGTH, BOX_VOLUME, SpectralVelocity, _cube_extent, _cut, _hat, _lattice,
+                       _lattice_sum, _physical, is_dealiased)
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
 #: in full double contractions.
@@ -112,11 +112,9 @@ def _product_hats(phys):
 
 def _inverse_from_cube(n, q) -> bool:
     """Whether u_q's n-point grid values are transformed from its support cube
-    |k_i| < 2^(q+1) by :func:`lpns._fft.irfftn_cube`, with the bits of the full
-    inverse: 2^(q+3) <= n, a cube of at most n/4 per axis.  At n/4 (q with
-    2^(q+3) = n) one component took 0.26 against 0.43 ms at n = 32, 2.3 against
-    3.1 ms at n = 64 and 18.7 against 39.7 ms at n = 128 (CPU time, median of 7,
-    one worker, 2-core Xeon)."""
+    |k_i| < 2^(q+1), outside which phi_q vanishes, by
+    :func:`lpns._fft.irfftn_cube`, with the bits of the full inverse:
+    2^(q+3) <= n, a cube of at most n/4 per axis."""
     return 2 ** (q + 3) <= n
 
 
@@ -124,17 +122,8 @@ def _forward_to_cube(n, q) -> bool:
     """Whether r_q's norm transforms only its cross terms' modes in the support
     cube |k_i| < 2^(q+1), by :func:`lpns._fft.rfftn_cube`, and takes the rest by
     Parseval (:func:`_cube_sums`): 2^(q+3) < n, a cube of at most n/8 per axis.
-    At n = 128 the norm of shells 0 to 3 took 108 to 161 ms against 214 to
-    248 ms (CPU time, median of 5, one worker, 2-core Xeon).  A shell with
-    2^(q+3) >= n keeps the full-spectrum norm bit for bit."""
+    A shell with 2^(q+3) >= n keeps the full-spectrum norm bit for bit."""
     return 2 ** (q + 3) < n
-
-
-def _support_extent(q):
-    """The block (lo, hi, depth) of u_q's support cube |k_i| < 2^(q+1), outside
-    which phi_q vanishes."""
-    r = 2 ** (q + 1)
-    return r, r - 1, r
 
 
 def _cross_terms(phys, uq_phys, out):
@@ -184,8 +173,8 @@ def _cube_sums(phys, what, mult, uq_phys, q):
     or its partial transform, n^2 r values, is held."""
     n = phys.shape[-1]
     scale = float(n) ** 3
-    extent = _support_extent(q)
-    r = extent[0]
+    r = 2 ** (q + 1)
+    extent = _cube_extent(r)
     cube_mult = _cut(mult, extent)
     cube_mult *= scale
     weight = _lattice(n)[4][..., :r]
@@ -217,13 +206,13 @@ def _remainder_l2(phys, what, mult, uq_phys, q) -> float:
 
 def _shell_grid_values(u: SpectralVelocity, mult, q):
     """u_q's n-point grid values, one component at a time.  A shell with
-    :func:`_inverse_from_cube` is transformed from its support cube
-    (:func:`_support_extent`) by :func:`lpns._fft.irfftn_cube`: the same bits
-    as the full inverse of c * mult, in less time."""
+    :func:`_inverse_from_cube` is transformed from its support cube by
+    :func:`lpns._fft.irfftn_cube`: the same bits as the full inverse of c * mult,
+    in less time."""
     n = u.grid.n
     if not _inverse_from_cube(n, q):
         return [_physical(c * mult) for c in u.coeffs]
-    extent = _support_extent(q)
+    extent = _cube_extent(2 ** (q + 1))
     cube_mult = _cut(mult, extent)
     return [_fft.irfftn_cube(_cut(c, extent) * cube_mult, n=n) for c in u.coeffs]
 

@@ -47,7 +47,7 @@ from .flux import _check_viscosity, _contract_k, _evaluate, _products, _squared_
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
-    _block_extent,
+    _cube_extent,
     _cut,
     _dealias_block,
     _lattice,
@@ -119,7 +119,7 @@ def _cfl_check(phys, grid, dt):
 @functools.lru_cache(maxsize=4)
 def _block_factors(n, k_max, nu, dt):
     """Read-only exp(-nu |k|^2 dt) and exp(-nu |k|^2 dt / 2) on the retained block."""
-    k2 = _cut(_lattice(n)[3], _block_extent(n, k_max))
+    k2 = _cut(_lattice(n)[3], _cube_extent(k_max + 1))
     e_full = np.exp(-nu * k2 * dt)
     e_half = np.exp(-nu * k2 * (0.5 * dt))
     e_full.flags.writeable = e_half.flags.writeable = False
@@ -130,7 +130,7 @@ def _workspace(grid):
     """The step's buffers acc, a, b and c, each (3, *block shape), c for the
     state's block, and the staging buffer, (3, n, n, n/2 + 1), carved from one
     allocation."""
-    lo, hi, depth = _block_extent(grid.n, grid.k_max)
+    lo, hi, depth = _cube_extent(grid.k_max + 1)
     block = (3, lo + hi, lo + hi, depth)
     size = math.prod(block)
     flat = np.empty(4 * size + 3 * math.prod(grid.spectral_shape), dtype=np.complex128)
@@ -159,7 +159,7 @@ def step(u: SpectralVelocity, params: SolverParams, *, _work=None) -> SpectralVe
     dt = params.dt
     phys = _physical(u.coeffs)
     _cfl_check(phys, grid, dt)
-    extent = _block_extent(grid.n, grid.k_max)
+    extent = _cube_extent(grid.k_max + 1)
     e_full, e_half = _block_factors(grid.n, grid.k_max, params.nu, dt)
     acc, a, b, c, stage = _workspace(grid) if _work is None else _work
     _cut(u.coeffs, extent, out=c)
@@ -283,7 +283,7 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
             if not np.all(np.isfinite(new.coeffs.view(np.float64))):
                 if new.coeffs is u.coeffs:  # u was overwritten: rebuild it from the block the step cut
                     new.coeffs[...] = 0.0
-                    _paste(work[3], _block_extent(u.grid.n, u.grid.k_max), new.coeffs)
+                    _paste(work[3], _cube_extent(u.grid.k_max + 1), new.coeffs)
                 raise DivergenceError(
                     f"solution diverged at t = {new.time:g}; last good time {u.time:g}",
                     last_good_time=u.time,

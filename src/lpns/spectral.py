@@ -17,22 +17,24 @@ apply that weight.
 This module owns the discrete form of that convention.  ``_hat`` and
 ``_physical`` are the one transform pair (rfftn / n^3 and irfftn * n^3 over
 the last three axes); every transform of the package goes through them except
-the time step's forward transform, the O(n^6) oracle's kernel, a snapshot's
-coefficients, taken from the retained block only below fraction 1
-(``dealiased_spectrum``, by ``_fft.rfftn_cube``), and the shell transforms in
-``flux``: u_q's n-point values, from its support cube where 2^(q+3) <= n
-(``_fft.irfftn_cube``), and in a remainder norm each cross term's unnormalised
-rfftn, only on that cube where 2^(q+3) < n (``_fft.rfftn_cube``).  The
-lattice is stored once per n (``_lattice``): the integer wavenumber axes
-shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
-half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also
-the filter bank's index into its radial tables, and the half-spectrum weight;
-no other module keeps a lattice table.  ``_cut`` and ``_paste`` are the one
-four-corner block copy, the modes with every |k_i| within a cutoff: a shell's
-cube in the flux diagnostics, or the retained block |k_i| <= k_max, which
-``_block_extent`` alone defines; ``dealias`` keeps it, ``is_dealiased`` tests
-the slabs outside it and ``_dealias_block`` caches its lattice for the step.
-``_solenoidal_noise`` is the one random draw behind both random-field generators.
+the time step's forward transform, the O(n^6) oracle's kernel, the transform
+of grid values to their retained block (``dealiased_spectrum``, by
+``_fft.rfftn_cube``), and the shell transforms in ``flux``: u_q's n-point
+values, from its support cube where 2^(q+3) <= n (``_fft.irfftn_cube``), and
+in a remainder norm each cross term's unnormalised rfftn, only on that cube
+where 2^(q+3) < n (``_fft.rfftn_cube``).  The lattice is stored once per n
+(``_lattice``): the integer wavenumber axes shaped (n, 1, 1), (1, n, 1) and
+(1, 1, n/2 + 1), which broadcast against the half spectrum, one read-only
+int64 |k|^2 on the half spectrum, which is also the filter bank's index into
+its radial tables, and the half-spectrum weight; no other module keeps a
+lattice table.  ``_cut`` and ``_paste`` are the one four-corner block copy of
+a cube |k_i| < r with 2r <= n, whose extent ``_cube_extent`` alone defines: a
+shell's support cube in the flux diagnostics, or the retained block
+|k_i| <= k_max, r = k_max + 1, at every dealias fraction.  ``is_dealiased``
+tests the slabs outside the block and ``_dealias_block`` caches its lattice.
+``dealiased_spectrum`` is the one way grid values become a velocity, and the
+seeded draw behind both random-field generators (``_solenoidal_noise``) goes
+through it.
 """
 
 from __future__ import annotations
@@ -67,20 +69,6 @@ def _lattice(n):
     return kx, ky, kz, k2, weight
 
 
-def _inverse(k2):
-    """Read-only 1/k2 of integer |k|^2 values, 0 where k2 = 0: the Leray projector's divisor."""
-    inv = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
-    np.divide(1.0, k2, out=inv, where=k2 > 0)
-    inv.flags.writeable = False
-    return inv
-
-
-@functools.lru_cache(maxsize=16)
-def _inverse_k2(n):
-    """Read-only 1/|k|^2 on the half spectrum, 0 at k = 0."""
-    return _inverse(_lattice(n)[3])
-
-
 def _corners(n, lo, hi, depth):
     """(block index, half-spectrum index) of the four slabs of the block that keeps
     the first lo and last hi rows of both n-point axes and the first depth kz planes."""
@@ -107,30 +95,29 @@ def _paste(block, extent, out):
     return out
 
 
-def _block_extent(n, k_max):
-    """(lo, hi, depth) of the retained block |k_i| <= k_max.  At k_max = n/2,
-    lo = n/2 keeps the Nyquist row once, and the block is the whole half spectrum."""
-    return min(k_max + 1, n - k_max), k_max, k_max + 1
-
-
-def _keep_block(c, grid):
-    """c on the retained block, plus 0.0, and +0 elsewhere, as a new array."""
-    out = np.zeros(c.shape, dtype=c.dtype)
-    for _, f in _corners(grid.n, *_block_extent(grid.n, grid.k_max)):
-        np.add(c[f], 0.0, out=out[f])  # -0.0 + 0.0 is +0.0: no -0 is kept, as in a zero field
-    return out
+def _cube_extent(r):
+    """(lo, hi, depth) of the cube |k_i| < r in the half spectrum: rows 0..r-1 and
+    the top r - 1 rows of both n-point axes, and kz planes 0..r-1.  Every cube
+    ``_cut`` and ``_paste`` copy has 2r <= n: the retained block (r = k_max + 1)
+    and a shell's support cube (r = 2^(q+1)), the layout of ``_fft.rfftn_cube``
+    and ``_fft.irfftn_cube``."""
+    return r, r - 1, r
 
 
 @functools.lru_cache(maxsize=16)
 def _dealias_block(n, k_max):
     """The retained block: its extent and its read-only (kx, ky, kz) and 1/|k|^2,
-    made on the block alone, so no half-spectrum table is built or kept."""
-    lo, hi, depth = extent = _block_extent(n, k_max)
+    0 at k = 0, made on the block alone, so no half-spectrum table is built or kept."""
+    lo, hi, depth = extent = _cube_extent(k_max + 1)
     kx, _, kz = _lattice(n)[:3]
     axis = np.concatenate((kx[:lo], kx[n - hi :]))
     axis.flags.writeable = False
     k = (axis, axis.reshape(1, -1, 1), kz[..., :depth])
-    return extent, k, _inverse(k[0] * k[0] + k[1] * k[1] + k[2] * k[2])
+    k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
+    inv_k2 = np.zeros(k2.shape)  # float: zeros_like of the integer k2 would be int
+    np.divide(1.0, k2, out=inv_k2, where=k2 > 0)
+    inv_k2.flags.writeable = False
+    return extent, k, inv_k2
 
 
 @dataclass(frozen=True)
@@ -150,8 +137,14 @@ class GridSpec:
 
     @property
     def k_max(self) -> int:
-        """Largest retained wavenumber component, floor(dealias_fraction * n/2)."""
-        return int(math.floor(self.dealias_fraction * (self.n // 2) + 1e-12))
+        """Largest retained wavenumber component, floor(dealias_fraction * n/2), at
+        most n/2 - 1: the retained block |k_i| <= k_max is the cube |k_i| < r with
+        r = k_max + 1 and 2r <= n at every fraction.  It never holds a Nyquist
+        mode |k_i| = n/2, whose Hermitian partner is stored at the same index
+        with a different k, so no per-mode operator can make a real field
+        complex there."""
+        cutoff = int(math.floor(self.dealias_fraction * (self.n // 2) + 1e-12))
+        return min(cutoff, self.n // 2 - 1)
 
     @property
     def dx(self) -> float:
@@ -221,15 +214,6 @@ def _lattice_sum(density):
     return BOX_VOLUME * np.sum(weight * density, axis=(-3, -2, -1))
 
 
-def forward_transform(f: PhysicalVelocity) -> SpectralVelocity:
-    """Analyze a physical field into Fourier coefficients."""
-    if f.values.shape != (3, *f.grid.shape):
-        raise ConfigurationError(
-            f"field shape {f.values.shape} does not match grid {(3, *f.grid.shape)}"
-        )
-    return SpectralVelocity(f.grid, _hat(f.values), f.time)
-
-
 def hermitian_residual(u: SpectralVelocity) -> float:
     """Max |u_hat(-k) - conj(u_hat(k))| over the kz = 0 and kz = n/2 planes, the
     only stored modes whose partner -k is stored too."""
@@ -262,61 +246,43 @@ def _project_coeffs(coeffs, k, inv_k2):
         component -= k_i * div
 
 
-def leray_project(u: SpectralVelocity) -> SpectralVelocity:
-    """Project each mode with I - k k^T / |k|^2, eliminating the pressure gradient."""
-    coeffs = u.coeffs.copy()
-    _project_coeffs(coeffs, _lattice(u.grid.n)[:3], _inverse_k2(u.grid.n))
-    return SpectralVelocity(u.grid, coeffs, u.time)
-
-
-def dealias(u: SpectralVelocity) -> SpectralVelocity:
-    """Zero every coefficient with max-norm |k_i| > k_max (2/3-rule projection)."""
-    return SpectralVelocity(u.grid, _keep_block(u.coeffs, u.grid), u.time)
-
-
-def zero_mean(u: SpectralVelocity) -> SpectralVelocity:
-    out = u.copy()
-    out.coeffs[:, 0, 0, 0] = 0.0
-    return out
-
-
 def dealiased_spectrum(f: PhysicalVelocity, project: bool = False) -> SpectralVelocity:
-    """zero_mean(dealias(forward_transform(f))) bit for bit, with ``leray_project``
-    applied before ``dealias`` when project is set.
+    """The retained block of f's coefficients, Leray-projected when project is
+    set, with zero mean, pasted into a half spectrum that is +0 elsewhere.
 
-    Below fraction 1 the retained block |k_i| <= k_max is a cube |k_i| < r with
-    2r <= n, so only the block is transformed (``_fft.rfftn_cube``), scaled by
-    1/n^3 (exact: n^3 is a power of two), projected on the block when asked,
-    and plus 0.0 as in ``_keep_block``.  It is pasted into a half spectrum whose
-    every element is written: pages left to np.zeros would be faulted in by the
-    report that reads them.  At fraction 1 the block is the whole half
-    spectrum, which is not such a cube, and the full transform is taken."""
+    Only the block, the cube |k_i| < k_max + 1, is transformed
+    (``_fft.rfftn_cube``, the bits of the block of ``_hat``): it is scaled by
+    1/n^3 (exact: n^3 is a power of two), projected with I - k k^T / |k|^2 on
+    the block when asked, and plus 0.0, so no -0 is kept.  Every element of the
+    half spectrum is written: pages left to np.zeros would be faulted in by the
+    report that reads them."""
     grid = f.grid
-    if grid.k_max == grid.n // 2:
-        u = forward_transform(f)
-        return zero_mean(dealias(leray_project(u) if project else u))
     if f.values.shape != (3, *grid.shape):
         raise ConfigurationError(
             f"field shape {f.values.shape} does not match grid {(3, *grid.shape)}"
         )
-    lo, hi, depth = _block_extent(grid.n, grid.k_max)
-    block = _fft.rfftn_cube(f.values, r=grid.k_max + 1)
+    r = grid.k_max + 1
+    lo, hi, depth = extent = _cube_extent(r)
+    # The block's tables are looked up only to project, so a report caches
+    # none and its peak RSS stays put, and before the transform: looked up
+    # after it, the march that follows ran measurably slower (CHANGES.md).
+    lattice = _dealias_block(grid.n, grid.k_max)[1:] if project else None
+    block = _fft.rfftn_cube(f.values, r=r)
     block /= grid.n**3
     if project:
-        _, k, inv_k2 = _dealias_block(grid.n, grid.k_max)
-        _project_coeffs(block, k, inv_k2)
-    block += 0.0  # -0.0 + 0.0 is +0.0, as in _keep_block
+        _project_coeffs(block, *lattice)
+    block += 0.0  # -0.0 + 0.0 is +0.0
     block[:, 0, 0, 0] = 0.0
     coeffs = np.empty((3, *grid.spectral_shape), dtype=np.complex128)
     outside = slice(lo, grid.n - hi)  # |k| > k_max in FFT order
     coeffs[..., depth:] = coeffs[:, outside, :, :depth] = coeffs[:, :, outside, :depth] = 0.0
-    return SpectralVelocity(grid, _paste(block, (lo, hi, depth), coeffs), f.time)
+    return SpectralVelocity(grid, _paste(block, extent, coeffs), f.time)
 
 
 def is_dealiased(u: SpectralVelocity) -> bool:
     """No coefficient with max-norm |k_i| > k_max.  The modes outside the block are
     the slabs |kx| > k_max, |ky| > k_max and kz > k_max, tested as views."""
-    lo, hi, depth = _block_extent(u.grid.n, u.grid.k_max)
+    lo, hi, depth = _cube_extent(u.grid.k_max + 1)
     outside = slice(lo, u.grid.n - hi)  # |k| > k_max in FFT order
     c = u.coeffs
     return not (np.any(c[:, outside]) or np.any(c[:, :, outside]) or np.any(c[..., depth:]))
@@ -355,17 +321,17 @@ def divergence_residual(u: SpectralVelocity) -> float:
 
     Modes below 1e-13 of the peak coefficient magnitude carry no field content
     and are excluded, so transform round-off junk does not dominate the ratio.
-    A dealiased field below fraction 1 is read on its retained block only: the
-    zero modes outside it fall below that threshold and leave the peak alone.
+    A dealiased field is read on its retained block only: the zero modes
+    outside it fall below that threshold and leave the peak alone.
     |u_hat| and k . u_hat are summed one component at a time, in place, and the
     ratio is taken in place where it is defined, so no three-component temporary
     and no gathered copy is made.
     """
-    n, k_max = u.grid.n, u.grid.k_max
+    n = u.grid.n
     kx, ky, kz, k2, _ = _lattice(n)
     c = u.coeffs
-    if k_max < n // 2 and is_dealiased(u):
-        extent, (kx, ky, kz), _ = _dealias_block(n, k_max)
+    if is_dealiased(u):
+        extent, (kx, ky, kz), _ = _dealias_block(n, u.grid.k_max)
         c, k2 = _cut(c, extent), _cut(k2, extent)
     vecmag = np.abs(c[0]) ** 2
     vecmag += np.abs(c[1]) ** 2
@@ -405,32 +371,20 @@ def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:
     return SpectralVelocity(grid, coeffs)
 
 
-def _solenoidal_noise(grid: GridSpec, seed: int) -> np.ndarray:
-    """Coefficients of seeded standard-normal noise on the grid, Leray-projected.
-
-    Projection acts mode by mode, so masking the result to a set of modes
-    equals projecting the masked noise."""
+def _solenoidal_noise(grid: GridSpec, seed: int) -> SpectralVelocity:
+    """Seeded standard-normal grid noise, taken to its retained block,
+    Leray-projected and with zero mean (``dealiased_spectrum``)."""
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     noise = np.random.default_rng(seed).standard_normal((3, *grid.shape))
-    coeffs = _hat(noise)
-    _project_coeffs(coeffs, _lattice(grid.n)[:3], _inverse_k2(grid.n))
-    return coeffs
+    return dealiased_spectrum(PhysicalVelocity(grid, noise), project=True)
 
 
 def random_solenoidal_field(grid: GridSpec, seed: int, l2: float = 1.0) -> SpectralVelocity:
-    """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2.
-
-    The modes with some |k_i| = n/2 are zeroed.  Below fraction 1 the block
-    holds none of them.  At fraction 1 the projection gives such a mode and its
-    Hermitian partner, stored at the same index, different k, so they would
-    break the symmetry and the field would not be real."""
-    coeffs = _keep_block(_solenoidal_noise(grid, seed), grid)
-    nyquist = grid.n // 2
-    coeffs[:, nyquist] = coeffs[:, :, nyquist] = coeffs[..., nyquist] = 0.0
-    coeffs[:, 0, 0, 0] = 0.0
-    coeffs *= l2 / l2_norm(SpectralVelocity(grid, coeffs))
-    return SpectralVelocity(grid, coeffs)
+    """Dealiased, divergence-free, zero-mean white-noise field with ||u||_2 = l2."""
+    u = _solenoidal_noise(grid, seed)
+    u.coeffs *= l2 / l2_norm(u)
+    return u
 
 
 def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
@@ -455,7 +409,7 @@ def make_random_field(grid: GridSpec, seed: int, spectrum) -> SpectralVelocity:
             raise ConfigurationError(f"shell {q} energy must be finite and >= 0")
     if not spectrum:
         return zero_velocity(grid)
-    noise = _solenoidal_noise(grid, seed)
+    noise = _solenoidal_noise(grid, seed).coeffs
     k2 = grid.k_squared()
     density = np.sum(np.abs(noise) ** 2, axis=0)
     gain = np.zeros(int(k2.max()) + 1)  # per |k|^2; 0 off the requested spheres

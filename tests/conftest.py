@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from lpns import _fft
 from lpns.lp import build_filter_bank
-from lpns.spectral import GridSpec, SpectralVelocity, _lattice, dealias, leray_project
+from lpns.spectral import GridSpec, SpectralVelocity, _hat, _lattice, _project_coeffs
 from lpns.verify import random_solenoidal_field
 
 # Property tests draw the same examples on every run and keep no example
@@ -100,6 +100,43 @@ def dealias_mask(grid):
     return (np.abs(kx) <= grid.k_max) & (np.abs(ky) <= grid.k_max) & (np.abs(kz) <= grid.k_max)
 
 
+def full_inverse_k2(n):
+    """1/|k|^2 on the whole half spectrum, 0 at k = 0."""
+    k2 = _lattice(n)[3]
+    inv = np.zeros(k2.shape)
+    np.divide(1.0, k2, out=inv, where=k2 > 0)
+    return inv
+
+
+def full_projection(coeffs):
+    """A copy of half-spectrum coefficients with I - k k^T / |k|^2 applied to every
+    stored mode, on the whole lattice."""
+    n = coeffs.shape[-2]
+    out = coeffs.copy()
+    _project_coeffs(out, _lattice(n)[:3], full_inverse_k2(n))
+    return out
+
+
+def keep_mask(coeffs, grid):
+    """Coefficients on the retained modes plus 0.0, and +0 elsewhere, by the mask."""
+    return np.where(dealias_mask(grid), coeffs + 0.0, 0.0)
+
+
+def full_spectrum(f):
+    """The whole half spectrum of physical values, rfftn / n^3, nothing cut."""
+    return SpectralVelocity(f.grid, _hat(f.values), f.time)
+
+
+def reference_spectrum(f, project=False):
+    """``dealiased_spectrum`` computed on the whole lattice: the full transform,
+    the Leray projection when project is set, the mask and zero mean.  It
+    shares no block code with what it checks."""
+    c = full_spectrum(f).coeffs
+    c = keep_mask(full_projection(c) if project else c, f.grid)
+    c[:, 0, 0, 0] = 0.0
+    return SpectralVelocity(f.grid, c, f.time)
+
+
 def negative_zero_noise(grid, seed, scale=1.0):
     """Standard-normal half-spectrum coefficients times scale, with -0.0 as the real
     part of about a third of them and as the imaginary part of another third, both
@@ -126,10 +163,8 @@ def single_mode_field(grid, k, component_amplitudes, solenoidal=True):
     for comp, amp in enumerate(component_amplitudes):
         coeffs[(comp, *idx)] = amp
         coeffs[(comp, *neg)] = np.conj(amp)
-    u = SpectralVelocity(grid, half_spectrum(coeffs))
-    if solenoidal:
-        u = leray_project(u)
-    return u
+    c = half_spectrum(coeffs)
+    return SpectralVelocity(grid, full_projection(c) if solenoidal else c)
 
 
 def mode_keyed_field(n, seed, kcap=10, decay=0.02):
@@ -151,11 +186,11 @@ def mode_keyed_field(n, seed, kcap=10, decay=0.02):
     coeffs = np.zeros((3, *grid.shape), dtype=np.complex128)
     coeffs[np.ix_(range(3), ks % n, ks % n, ks % n)] = cube
     reflected = np.roll(coeffs[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
-    u = SpectralVelocity(grid, half_spectrum(0.5 * (coeffs + np.conj(reflected))))
-    u = leray_project(u)
-    u.coeffs[:, 0, 0, 0] = 0.0
-    return dealias(u)
+    c = full_projection(half_spectrum(0.5 * (coeffs + np.conj(reflected))))
+    c[:, 0, 0, 0] = 0.0
+    return SpectralVelocity(grid, keep_mask(c, grid))
 
 
-__all__ = ["count_transforms", "dealias_mask", "fft_entries", "half_spectrum", "mode_keyed_field",
-           "negative_zero_noise", "peak_allocation", "random_solenoidal_field", "single_mode_field"]
+__all__ = ["count_transforms", "dealias_mask", "fft_entries", "full_inverse_k2", "full_projection",
+           "full_spectrum", "half_spectrum", "keep_mask", "mode_keyed_field", "negative_zero_noise",
+           "peak_allocation", "random_solenoidal_field", "reference_spectrum", "single_mode_field"]

@@ -21,15 +21,14 @@ from lpns.solver import SolverParams, TrajectoryRow, simulate
 from lpns.spectral import (
     GridSpec,
     PhysicalVelocity,
-    dealias,
-    forward_transform,
+    dealiased_spectrum,
     inverse_transform,
-    leray_project,
     make_taylor_green,
-    zero_mean,
     zero_velocity,
 )
 from lpns.verify import nlt_suite
+
+from conftest import reference_spectrum
 
 EXPECTED_HEADER = "t,E,enstrophy,H1,H32,y,riccati_lhs,riccati_rhs,A,B,C,flux_sum"
 
@@ -275,19 +274,19 @@ class TestSimulateCommand:
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
 
-    @pytest.mark.parametrize("fraction", ["2/3", "1/2"])
+    @pytest.mark.parametrize("fraction", ["2/3", "1/2", "1"])
     def test_snapshot_start_writes_the_bytes_of_the_full_transform(self, tmp_path, monkeypatch,
                                                                   fraction):
         """An ``ic = snapshot`` run from a field that is not solenoidal writes the
         CSV and manifest of the full-spectrum formula that the block transform
-        replaced.  At fraction 1 ``dealiased_spectrum`` is that formula."""
+        replaced."""
         grid = GridSpec(16)
         snapshot = tmp_path / "noise.lpns"
         noise = 0.05 * np.random.default_rng(2).standard_normal((3, 16, 16, 16))
         write_snapshot(snapshot, PhysicalVelocity(grid, noise), {"nu": 0.5})
 
         def full_formula(f, project=False):
-            return zero_mean(dealias(leray_project(forward_transform(f))))
+            return reference_spectrum(f, project=True)
 
         outputs = []
         for formula in (None, full_formula):
@@ -301,6 +300,33 @@ class TestSimulateCommand:
             outputs.append([(out / name).read_bytes()
                             for name in ("diagnostics.csv", "run_manifest.json")])
         assert outputs[0] == outputs[1]
+
+    def test_full_fraction_snapshot_start_runs(self, tmp_path, capsys):
+        """An ``ic = snapshot`` run at dealias = 1 from raw noise, which has content
+        on the modes |k_i| = n/2, starts from a real field and writes its rows."""
+        grid = GridSpec(32)
+        snapshot = tmp_path / "noise.lpns"
+        noise = 0.05 * np.random.default_rng(3).standard_normal((3, 32, 32, 32))
+        write_snapshot(snapshot, PhysicalVelocity(grid, noise), {"nu": 0.05})
+        cfg = tmp_path / "snap.cfg"
+        write_config(cfg, n=32, nu=0.05, ic="snapshot", snapshot=str(snapshot), amplitude=None,
+                     dealias="1", diag_every=1, t_end=0.002, out=str(tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg)]) == 0, capsys.readouterr().err
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3
+
+    def test_full_fraction_refuses_a_shell_at_nyquist(self, tmp_path, capsys):
+        """At dealias = 1 the block stops at k_max = n/2 - 1, so a shell on the
+        sphere |k| = n/2 is refused before any output is written."""
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        write_config(cfg, n=32, nu=0.05, ic="random", seed=3, amplitude=None,
+                     spectrum="0:0.3,1:0.2,2:0.1,3:0.05,4:0.01", dealias="1", diag_every=1,
+                     snapshot_every=5, t_end=0.01, out=str(out))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: shell 4 not resolvable: needs 2^q <= k_max = 15\n"
+        assert not (out / "diagnostics.csv").exists() and not (out / "run_manifest.json").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = tmp_path / "a.cfg"
@@ -459,12 +485,7 @@ class TestVerifyCommand:
     def test_nlt_negative_injection_fails(self, grid16):
         """A non-solenoidal field must break the flux-sum check."""
         rng = np.random.default_rng(0)
-        from lpns.spectral import PhysicalVelocity, dealias, forward_transform
-
-        bad = dealias(forward_transform(
-            PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
-        ))
-        bad.coeffs[:, 0, 0, 0] = 0.0
+        bad = dealiased_spectrum(PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16))))
         results = nlt_suite(seed=0, n=16, field=bad)
         flux_checks = [r for r in results if r.name.startswith("flux_sum")]
         assert flux_checks and not flux_checks[0].passed

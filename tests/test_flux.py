@@ -644,12 +644,9 @@ class TestShellFluxReport:
     def test_total_flux_nonzero_for_compressible_field(self, grid32, bank32):
         """Without solenoidality the telescoped transfer no longer cancels."""
         rng = np.random.default_rng(2)
-        from lpns.spectral import PhysicalVelocity, dealias, forward_transform
+        from lpns.spectral import PhysicalVelocity, dealiased_spectrum
 
-        u = dealias(forward_transform(
-            PhysicalVelocity(grid32, rng.standard_normal((3, 32, 32, 32)))
-        ))
-        u.coeffs[:, 0, 0, 0] = 0.0
+        u = dealiased_spectrum(PhysicalVelocity(grid32, rng.standard_normal((3, 32, 32, 32))))
         flux_sum, scale = total_flux(u, bank32)
         assert abs(flux_sum) / max(scale, 1e-14) > 1e-6
 

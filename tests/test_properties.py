@@ -12,11 +12,12 @@ equal the literal double sums over shell pairs.
 import io
 import json
 import math
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,18 +33,18 @@ from lpns.flux import (
     total_flux,
 )
 from lpns.lp import phi_profile, psi_profile
-from lpns.snapshots import sidecar_path, write_snapshot
+from lpns.snapshots import read_snapshot, sidecar_path, write_snapshot
 from lpns.spectral import (
     PhysicalVelocity,
     _lattice,
     _lattice_sum,
+    dealiased_spectrum,
     energy,
-    forward_transform,
     inverse_transform,
     is_dealiased,
 )
 
-from conftest import random_solenoidal_field
+from conftest import full_spectrum, random_solenoidal_field
 
 BASE_CONFIG = {"n": "16", "nu": "0.1", "dt": "1e-3", "t_end": "0.01", "ic": "random",
                "spectrum": "0:0.1,1:0.05"}
@@ -131,6 +132,85 @@ def _reject_constant(token):
     raise AssertionError(f"report holds {token}, which is not JSON")
 
 
+@st.composite
+def simulate_configs(draw):
+    """A small n = 16 run of 1 to 3 steps at a dealias fraction of 1/2, 2/3 or
+    1, from random shells 0 to 3 or Taylor-Green, with or without a snapshot
+    at every step."""
+    dt = draw(st.sampled_from([1e-3, 2e-2]))
+    steps = draw(st.integers(1, 3))
+    entries = {
+        "n": 16,
+        "nu": draw(st.sampled_from([0.01, 0.5])),
+        "dt": dt,
+        "t_end": format(steps * dt, ".17g"),
+        "dealias": draw(st.sampled_from(["1/2", "2/3", "1"])),
+        "diag_every": draw(st.integers(1, 2)),
+        "snapshot_every": draw(st.sampled_from([0, 1])),
+        "nonlinear": draw(st.sampled_from(["true", "false"])),
+        "ic": draw(st.sampled_from(["random", "taylor_green"])),
+    }
+    if entries["ic"] == "random":
+        entries["seed"] = draw(st.integers(0, 2**16))
+        shells = draw(st.dictionaries(st.integers(0, 3), st.sampled_from([0.0, 0.01, 1.0]),
+                                      min_size=1))
+        entries["spectrum"] = ",".join(f"{q}:{e}" for q, e in shells.items())
+    else:
+        entries["amplitude"] = draw(st.sampled_from([0.0, 1.0, 60.0]))
+    return steps, entries
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("simulate")
+
+
+#: Energy on the sphere |k| = n/2 at dealias = 1, a snapshot every step.
+NYQUIST_SHELL_RUN = (1, {"n": 16, "nu": 0.01, "dt": 1e-3, "t_end": "0.001", "dealias": "1",
+                         "diag_every": 1, "snapshot_every": 1, "nonlinear": "true", "ic": "random",
+                         "seed": 0, "spectrum": "0:1.0,3:0.01"})
+
+
+@settings(max_examples=60)
+@example(case=NYQUIST_SHELL_RUN)
+@given(case=simulate_configs())
+def test_simulate_runs_or_fails_cleanly(run_dir, case):
+    """A run exits 0, 2 or 3, with one ``error:`` (2) or ``numerical failure:``
+    (3) line when it fails.  Exit 2 is a configuration refused before the march,
+    so it writes no manifest; a written manifest says "ok" for 0 and "failed"
+    for 3.  Every row is finite, and every snapshot reads back as a dealiased
+    real field, its values those of its own retained block."""
+    steps, entries = case
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_dir.mkdir()
+    config = run_dir / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    out = run_dir / "out"
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " if code == 2 else "numerical failure: ")
+    manifest = out / "run_manifest.json"
+    if manifest.exists():
+        assert code != 2, lines
+        assert json.loads(manifest.read_text())["status"] == ("ok" if code == 0 else "failed")
+    csv = out / "diagnostics.csv"
+    rows = csv.read_text().splitlines()[1:] if csv.exists() else []
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    snapshots = sorted(out.glob("snapshot_*.lpns"))
+    if code == 0:
+        assert len(rows) == 1 + steps // entries["diag_every"]
+        assert len(snapshots) == (steps + 1 if entries["snapshot_every"] else 0)
+    for path in snapshots:
+        phys, _ = read_snapshot(path)
+        back = inverse_transform(dealiased_spectrum(phys)).values
+        assert np.max(np.abs(back - phys.values)) <= 1e-12 * max(np.max(np.abs(phys.values)), 1e-300)
+
+
 #: Real fields on the n=16 grid: a few drawn entries over a drawn background.
 REAL_FIELDS = arrays(
     np.float64, (3, 16, 16, 16),
@@ -141,7 +221,7 @@ REAL_FIELDS = arrays(
 
 @given(values=REAL_FIELDS)
 def test_transform_round_trip(grid16, values):
-    back = inverse_transform(forward_transform(PhysicalVelocity(grid16, values))).values
+    back = inverse_transform(full_spectrum(PhysicalVelocity(grid16, values))).values
     assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
 
 

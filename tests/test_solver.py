@@ -31,21 +31,22 @@ from lpns.solver import (
 )
 from lpns.spectral import (
     GridSpec,
+    PhysicalVelocity,
     SpectralVelocity,
     _cut,
     _dealias_block,
     _lattice,
     _physical,
-    _solenoidal_noise,
     divergence_residual,
     energy,
+    hermitian_residual,
     make_random_field,
     make_taylor_green,
     zero_velocity,
 )
 
-from conftest import (count_transforms, dealias_mask, negative_zero_noise, peak_allocation,
-                      random_solenoidal_field, single_mode_field)
+from conftest import (count_transforms, dealias_mask, full_projection, full_spectrum,
+                      negative_zero_noise, peak_allocation, random_solenoidal_field, single_mode_field)
 
 
 def single_mode_shear(grid, amplitude=1.0):
@@ -176,7 +177,8 @@ class TestStep:
         bit for bit on the block and in value everywhere, and writes +0 outside."""
         grid = GridSpec(32)
         mask = dealias_mask(grid)
-        coeffs = _solenoidal_noise(grid, 4) * mask
+        noise = np.random.default_rng(4).standard_normal((3, *grid.shape))
+        coeffs = full_projection(full_spectrum(PhysicalVelocity(grid, noise)).coeffs) * mask
         coeffs[:, 0, 0, 0] = 0.0
         u = SpectralVelocity(grid, coeffs)
         assert np.any(np.signbit(coeffs[:, ~mask].real))
@@ -289,6 +291,20 @@ class TestSimulate:
         r2 = simulate(u0, params, bank16)
         assert r1.rows == r2.rows
         assert np.array_equal(r1.final.coeffs, r2.final.coeffs)
+
+    def test_full_fraction_march_keeps_a_real_field(self):
+        """At dealias = 1 every state of the march is a real field to round-off:
+        the block holds no mode |k_i| = n/2, where the projection would pair
+        a mode with a partner of another k stored at the same index."""
+        grid = GridSpec(32, 1.0)
+        params = SolverParams(nu=0.05, dt=1e-3, t_end=0.01, diag_every=10)
+        ratios = []
+
+        def residual(i, u):
+            ratios.append(hermitian_residual(u) / float(np.max(np.abs(u.coeffs))))
+
+        simulate(random_solenoidal_field(grid, 3), params, on_step=residual)
+        assert len(ratios) == 11 and max(ratios) <= 1e-12
 
     def test_divergence_free_preserved_on_snapshots(self, grid32, bank32):
         params = SolverParams(nu=0.1, dt=1e-3, t_end=0.05, diag_every=10)

@@ -9,36 +9,31 @@ from lpns.lp import build_filter_bank, phi_profile, shell_energies
 from lpns.spectral import (
     BOX_VOLUME,
     GridSpec,
-    _block_extent,
+    _cube_extent,
     _cut,
     _dealias_block,
-    _inverse_k2,
     _lattice,
     _paste,
     _project_coeffs,
-    _solenoidal_noise,
     PhysicalVelocity,
     SpectralVelocity,
-    dealias,
     dealiased_spectrum,
     divergence_residual,
     energy,
     enstrophy,
-    forward_transform,
     hermitian_residual,
     inverse_transform,
     is_dealiased,
     l2_norm,
-    leray_project,
     make_random_field,
     lp_norm,
     make_taylor_green,
-    zero_mean,
     zero_velocity,
 )
 
-from conftest import (count_transforms, dealias_mask, half_spectrum, negative_zero_noise,
-                      peak_allocation, random_solenoidal_field, single_mode_field)
+from conftest import (count_transforms, dealias_mask, full_inverse_k2, full_spectrum, half_spectrum,
+                      keep_mask, peak_allocation, random_solenoidal_field, reference_spectrum,
+                      single_mode_field)
 
 
 class TestGridSpec:
@@ -83,7 +78,7 @@ class TestTransforms:
         x = np.arange(16) * grid16.dx
         values = np.zeros((3, 16, 16, 16))
         values[0] = np.sin(x)[:, None, None]
-        u = forward_transform(PhysicalVelocity(grid16, values))
+        u = dealiased_spectrum(PhysicalVelocity(grid16, values))
         assert u.coeffs[0, 1, 0, 0] == pytest.approx(-0.5j, abs=1e-15)
         assert u.coeffs[0, 15, 0, 0] == pytest.approx(0.5j, abs=1e-15)
         others = u.coeffs.copy()
@@ -91,7 +86,7 @@ class TestTransforms:
         assert np.max(np.abs(others)) < 1e-15
 
     def test_zero_field(self, grid16):
-        u = forward_transform(PhysicalVelocity(grid16, np.zeros((3, 16, 16, 16))))
+        u = dealiased_spectrum(PhysicalVelocity(grid16, np.zeros((3, 16, 16, 16))))
         assert not np.any(u.coeffs)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -99,7 +94,7 @@ class TestTransforms:
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((3, 32, 32, 32))
         f = PhysicalVelocity(grid32, values)
-        back = inverse_transform(forward_transform(f))
+        back = inverse_transform(full_spectrum(f))
         assert np.max(np.abs(back.values - values)) < 1e-12
 
     def test_inverse_single_mode(self, grid16):
@@ -134,13 +129,13 @@ class TestTransforms:
 
     def test_dimension_mismatch(self, grid16):
         with pytest.raises(ConfigurationError):
-            forward_transform(PhysicalVelocity(grid16, np.zeros((3, 8, 8, 8))))
+            inverse_transform(SpectralVelocity(grid16, np.zeros((3, 8, 8, 5), dtype=complex)))
 
     def test_parseval_over_ensemble(self, grid16):
         for seed in range(100):
             rng = np.random.default_rng(seed)
             f = PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
-            u = forward_transform(f)
+            u = full_spectrum(f)
             phys_norm = lp_norm(f, 2)
             assert l2_norm(u) == pytest.approx(phys_norm, rel=1e-10)
 
@@ -159,7 +154,7 @@ class TestHalfSpectrumWeights:
         grid = GridSpec(n)
         bank = build_filter_bank(grid)
         values = np.random.default_rng(seed).standard_normal((3, n, n, n))
-        u = forward_transform(PhysicalVelocity(grid, values))
+        u = full_spectrum(PhysicalVelocity(grid, values))
         full = np.fft.fftn(values, axes=(1, 2, 3)) / n**3
         density = np.sum(np.abs(full) ** 2, axis=0)
         k2 = _full_k2(n)
@@ -185,36 +180,48 @@ class TestHalfSpectrumWeights:
         gap = np.abs(np.conj(reflected) - full)[..., [0, n // 2]]
         got = hermitian_residual(SpectralVelocity(grid, half_spectrum(full)))
         assert got == pytest.approx(np.max(gap), rel=1e-13)
-        real = forward_transform(PhysicalVelocity(grid, z.real))
+        real = full_spectrum(PhysicalVelocity(grid, z.real))
         assert hermitian_residual(real) <= 1e-13 * np.max(np.abs(real.coeffs))
+
+
+def block_projection(c, grid):
+    """The retained block of half-spectrum coefficients c with I - k k^T / |k|^2
+    applied by ``_project_coeffs`` on the block's own lattice, as a new array."""
+    extent, k, inv_k2 = _dealias_block(grid.n, grid.k_max)
+    block = _cut(c, extent)
+    _project_coeffs(block, k, inv_k2)
+    return block
 
 
 class TestLerayProjection:
     def test_annihilates_gradient_fields(self, grid16):
-        """A pure gradient u_hat = i k g(k) projects to zero."""
+        """A pure gradient u_hat = i k g(k) projects to zero on the block, and so
+        do its grid values through ``dealiased_spectrum``."""
         rng = np.random.default_rng(3)
         g = rng.standard_normal((16, 16, 16))
         ghat = np.fft.rfftn(g) / 16**3
         kx, ky, kz = _lattice(16)[:3]
         coeffs = np.stack([1j * kx * ghat, 1j * ky * ghat, 1j * kz * ghat])
-        proj = leray_project(SpectralVelocity(grid16, coeffs))
-        assert np.max(np.abs(proj.coeffs)) < 1e-14 * np.max(np.abs(coeffs))
+        scale = np.max(np.abs(coeffs))
+        assert np.max(np.abs(block_projection(coeffs, grid16))) < 1e-14 * scale
+        gradient = PhysicalVelocity(grid16, np.fft.irfftn(coeffs, axes=(1, 2, 3)) * 16**3)
+        proj = dealiased_spectrum(gradient, project=True)
+        assert np.max(np.abs(proj.coeffs)) < 1e-14 * scale
 
     def test_identity_on_divergence_free(self, grid32):
         u = random_solenoidal_field(grid32, 4)
-        again = leray_project(u)
-        assert np.max(np.abs(again.coeffs - u.coeffs)) < 1e-15
+        again = block_projection(u.coeffs, grid32)
+        assert np.max(np.abs(again - _cut(u.coeffs, _cube_extent(grid32.k_max + 1)))) < 1e-15
 
     def test_idempotent(self, grid16):
         """Double projection agrees with single projection to round-off."""
         rng = np.random.default_rng(5)
-        u = forward_transform(
-            PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
+        once = dealiased_spectrum(
+            PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16))), project=True
         )
-        once = leray_project(u)
-        twice = leray_project(once)
+        twice = block_projection(once.coeffs, grid16)
         scale = np.max(np.abs(once.coeffs))
-        assert np.max(np.abs(twice.coeffs - once.coeffs)) < 1e-14 * scale
+        assert np.max(np.abs(twice - _cut(once.coeffs, _cube_extent(grid16.k_max + 1)))) < 1e-14 * scale
 
     def test_divergence_residual_small(self, grid32):
         for seed in range(5):
@@ -231,7 +238,7 @@ class TestLerayProjection:
         1e-13 of its peak."""
         grid = GridSpec(n)
         rng = np.random.default_rng(n)
-        raw = forward_transform(PhysicalVelocity(grid, rng.standard_normal((3, n, n, n))))
+        raw = full_spectrum(PhysicalVelocity(grid, rng.standard_normal((3, n, n, n))))
         if field == "solenoidal":
             u = random_solenoidal_field(grid, 3)
         elif field == "raw-noise":
@@ -253,39 +260,37 @@ class TestLerayProjection:
 
     def test_energy_non_increasing(self, grid16):
         rng = np.random.default_rng(6)
-        u = forward_transform(
-            PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
-        )
-        assert l2_norm(leray_project(u)) <= l2_norm(u)
+        f = PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
+        assert l2_norm(dealiased_spectrum(f, project=True)) <= l2_norm(dealiased_spectrum(f))
 
     def test_self_adjoint(self, grid16):
         """<Pu, v> = <u, Pv> on the lattice inner product."""
         rng = np.random.default_rng(7)
-        u = forward_transform(PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16))))
-        v = forward_transform(PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16))))
-        pu, pv = leray_project(u), leray_project(v)
+        f = PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
+        g = PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
+        u, v = dealiased_spectrum(f), dealiased_spectrum(g)
+        pu, pv = dealiased_spectrum(f, project=True), dealiased_spectrum(g, project=True)
         lhs = np.sum(pu.coeffs * np.conj(v.coeffs)).real
         rhs = np.sum(u.coeffs * np.conj(pv.coeffs)).real
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-
     def test_inverse_k2_cached_read_only(self):
-        k2 = _lattice(16)[3]
-        inv = _inverse_k2(16)
-        assert inv is _inverse_k2(16) and not inv.flags.writeable
+        """The projector's divisor is cached on the block alone: 1/|k|^2, 0 at k = 0."""
+        extent, _, inv = _dealias_block(16, 5)
+        k2 = _cut(_lattice(16)[3], extent)
+        assert inv is _dealias_block(16, 5)[2] and not inv.flags.writeable
         assert inv.dtype == np.float64 and inv[0, 0, 0] == 0.0
         assert np.array_equal(inv[k2 > 0], 1.0 / k2[k2 > 0])
 
     def test_projection_allocates_two_components_at_most(self, grid64):
         """The cached divisor leaves the divergence and one product as the only
-        full-size temporaries: no float divisor and no k2 > 0 mask per call.
+        block-size temporaries: no float divisor and no k2 > 0 mask per call.
         The quarter component covers numpy's casting buffers."""
-        coeffs = forward_transform(
-            PhysicalVelocity(grid64, np.random.default_rng(9).standard_normal((3, 64, 64, 64)))
-        ).coeffs
-        lattice = (_lattice(64)[:3], _inverse_k2(64))
-        _project_coeffs(coeffs.copy(), *lattice)
-        assert peak_allocation(lambda: _project_coeffs(coeffs, *lattice)) <= 2.25 * coeffs[0].nbytes
+        extent, k, inv_k2 = _dealias_block(64, grid64.k_max)
+        values = np.random.default_rng(9).standard_normal((3, 64, 64, 64))
+        block = _cut(full_spectrum(PhysicalVelocity(grid64, values)).coeffs, extent)
+        _project_coeffs(block.copy(), k, inv_k2)
+        assert peak_allocation(lambda: _project_coeffs(block, k, inv_k2)) <= 2.25 * block[0].nbytes
 
 
 class TestDealias:
@@ -305,54 +310,61 @@ class TestDealias:
             u.coeffs[component][index] = 0.0
 
     def test_cutoff_mode_zeroed(self, grid16):
+        """The block cut drops a mode outside it exactly; from grid values the
+        block holds only the transform's round-off."""
         u = single_mode_field(grid16, (6, 0, 0), (0, 1.0, 0), solenoidal=False)
-        out = dealias(u)
-        assert not np.any(out.coeffs)
+        extent = _cube_extent(grid16.k_max + 1)
+        assert not np.any(_paste(_cut(u.coeffs, extent), extent, np.zeros_like(u.coeffs)))
+        out = dealiased_spectrum(inverse_transform(u))
+        assert np.max(np.abs(out.coeffs)) < 1e-15
 
     def test_low_mode_preserved(self, grid16):
         u = single_mode_field(grid16, (1, 1, 1), (0.3, 0.1, -0.2), solenoidal=False)
-        out = dealias(u)
-        assert np.array_equal(out.coeffs, u.coeffs)
+        extent = _cube_extent(grid16.k_max + 1)
+        assert np.array_equal(_paste(_cut(u.coeffs, extent), extent, np.zeros_like(u.coeffs)), u.coeffs)
+        out = dealiased_spectrum(inverse_transform(u))
+        assert np.max(np.abs(out.coeffs - u.coeffs)) < 1e-15
 
     def test_idempotent(self, grid16):
+        """A dealiased spectrum is a fixed point of the mask and of the block
+        copy, byte for byte."""
         rng = np.random.default_rng(8)
-        u = forward_transform(
+        once = dealiased_spectrum(
             PhysicalVelocity(grid16, rng.standard_normal((3, 16, 16, 16)))
-        )
-        once = dealias(u)
-        assert np.array_equal(once.coeffs, dealias(once).coeffs)
+        ).coeffs
+        extent = _cube_extent(grid16.k_max + 1)
+        assert keep_mask(once, grid16).tobytes() == once.tobytes()
+        assert _paste(_cut(once, extent), extent, np.zeros_like(once)).tobytes() == once.tobytes()
 
     @pytest.mark.parametrize("n,seed", [(16, 5), (32, 1), (64, 3)])
     def test_masked_modes_are_positive_zero(self, n, seed):
-        """Neither dealias nor random_solenoidal_field leaves a sign bit set on a
-        masked mode: a mask multiply alone writes -0 there.  Both equal a mask
-        multiply plus 0.0 byte for byte, also on coefficients with -0 parts
-        inside and outside the block, at every dealias fraction."""
-        grid = GridSpec(n)
-        outside = ~dealias_mask(grid)
-        noise = forward_transform(
-            PhysicalVelocity(grid, np.random.default_rng(seed).standard_normal((3, n, n, n)))
-        )
-        for u in (dealias(noise), random_solenoidal_field(grid, seed)):
-            masked = u.coeffs[:, outside]
-            assert not np.any(masked)
-            assert not np.any(np.signbit(masked.real)) and not np.any(np.signbit(masked.imag))
+        """Neither ``dealiased_spectrum`` nor random_solenoidal_field leaves a sign
+        bit set on any zero part: a mask multiply alone writes -0 on the masked
+        modes.  At every dealias fraction, with and without the projection, both
+        equal the mask plus 0.0 of the whole-lattice transform byte for byte, also
+        for a field constant in z, whose transform has -0 parts in the block."""
         for fraction in (2.0 / 3.0, 0.5, 1.0):
             grid = GridSpec(n, fraction)
             mask = dealias_mask(grid)
-            c = negative_zero_noise(grid, seed)
-            expected = c * mask
-            expected += 0.0
-            assert dealias(SpectralVelocity(grid, c)).coeffs.tobytes() == expected.tobytes()
-            # The white noise also drops the modes with some |k_i| = n/2, which
-            # only the fraction-1 block holds.
-            kx, ky, kz = _lattice(n)[:3]
-            mask &= (np.abs(kx) < n // 2) & (np.abs(ky) < n // 2) & (kz < n // 2)
-            expected = _solenoidal_noise(grid, seed) * mask
-            expected += 0.0
-            expected[:, 0, 0, 0] = 0.0
+            rng = np.random.default_rng(seed)
+            noise = rng.standard_normal((3, n, n, n))  # random_solenoidal_field's draw
+            flat = rng.standard_normal((3, n, n, 1)) * np.ones(n)
+            raw = full_spectrum(PhysicalVelocity(grid, flat)).coeffs[:, mask].imag[:, 1:]  # k != 0
+            assert np.any(np.signbit(raw[raw == 0.0]))
+            for values in (noise, flat):
+                f = PhysicalVelocity(grid, values)
+                for project in (False, True):
+                    u = dealiased_spectrum(f, project=project)
+                    assert not np.any(u.coeffs[:, ~mask])
+                    parts = u.coeffs.view(np.float64)
+                    assert not np.any(np.signbit(parts[parts == 0.0]))
+                    assert u.coeffs.tobytes() == reference_spectrum(f, project).coeffs.tobytes()
+            u = random_solenoidal_field(grid, seed)
+            parts = u.coeffs.view(np.float64)
+            assert not np.any(np.signbit(parts[parts == 0.0]))
+            expected = reference_spectrum(PhysicalVelocity(grid, noise), project=True).coeffs
             expected *= 1.0 / l2_norm(SpectralVelocity(grid, expected))
-            assert random_solenoidal_field(grid, seed).coeffs.tobytes() == expected.tobytes()
+            assert u.coeffs.tobytes() == expected.tobytes()
 
 
 class TestDealiasBlock:
@@ -363,47 +375,49 @@ class TestDealiasBlock:
         grid = GridSpec(n, fraction)
         extent, (kx, ky, kz), inv = _dealias_block(n, grid.k_max)
         lo, hi, depth = extent
-        assert extent == _block_extent(n, grid.k_max)
-        assert lo + hi == (2 * grid.k_max + 1 if grid.k_max < n // 2 else n)
+        assert extent == _cube_extent(grid.k_max + 1)
+        assert lo + hi == 2 * grid.k_max + 1 and 2 * lo <= n
         assert np.array_equal(np.sort(kx.ravel()), np.unique(kx))  # each row once
         assert np.max(np.abs(kx)) == grid.k_max and np.array_equal(kz.ravel(), np.arange(depth))
         axes = np.broadcast_arrays(*_lattice(n)[:3])
         for a, b in zip((kx, ky, kz), axes):
             assert np.array_equal(np.broadcast_to(a, (lo + hi, lo + hi, depth)), _cut(b, extent))
-        assert np.array_equal(inv, _cut(_inverse_k2(n), extent))
+        assert np.array_equal(inv, _cut(full_inverse_k2(n), extent))
         assert not any(a.flags.writeable for a in (kx, ky, kz, inv))
-        c = forward_transform(
-            PhysicalVelocity(grid, np.random.default_rng(n).standard_normal((3, n, n, n)))
-        ).coeffs
+        f = PhysicalVelocity(grid, np.random.default_rng(n).standard_normal((3, n, n, n)))
+        c = full_spectrum(f).coeffs
         block = _cut(c, extent)
         assert block.shape == (3, lo + hi, lo + hi, depth)
         dirty = np.full_like(block, np.nan)
         assert _cut(c, extent, out=dirty) is dirty and dirty.tobytes() == block.tobytes()
         pasted = _paste(block, extent, np.zeros_like(c))
         assert pasted.tobytes() == np.where(dealias_mask(grid), c, 0.0).tobytes()
-        dealiased = dealias(SpectralVelocity(grid, c)).coeffs
+        dealiased = dealiased_spectrum(f).coeffs
         assert _paste(_cut(dealiased, extent), extent, np.zeros_like(c)).tobytes() == dealiased.tobytes()
 
     @pytest.mark.parametrize("n", [16, 32])
-    def test_full_fraction_keeps_the_whole_half_spectrum(self, n):
-        """At dealias_fraction = 1, k_max = n/2 and the block is the whole half
-        spectrum in its own order: the Nyquist row is kept once."""
+    def test_full_fraction_block_is_the_cube_below_nyquist(self, n):
+        """At dealias_fraction = 1, k_max = n/2 - 1 and the block is the cube
+        |k_i| < n/2, with 2r = n: every mode but those with some |k_i| = n/2,
+        whose Hermitian partner shares their index."""
         grid = GridSpec(n, 1.0)
-        assert grid.k_max == n // 2
+        assert grid.k_max == n // 2 - 1
         extent, k, inv = _dealias_block(n, grid.k_max)
-        assert extent == (n // 2, n // 2, n // 2 + 1)
-        assert all(np.array_equal(a, b) for a, b in zip(k, _lattice(n)[:3]))
-        assert np.array_equal(inv, _inverse_k2(n))
+        assert extent == _cube_extent(n // 2) == (n // 2, n // 2 - 1, n // 2)
+        below = np.arange(n) != n // 2  # every axis entry but k_i = +-n/2
+        for a, b in zip(k, _lattice(n)[:3]):
+            assert np.array_equal(a.ravel(), b.ravel()[below[: b.size]])
+        assert np.array_equal(inv, _cut(full_inverse_k2(n), extent))
         c = np.random.default_rng(1).standard_normal((3, *grid.spectral_shape)) + 0j
-        assert _cut(c, extent).tobytes() == c.tobytes()
+        kept = _paste(_cut(c, extent), extent, np.zeros_like(c))
+        h = n // 2
+        assert not (np.any(kept[:, h]) or np.any(kept[:, :, h]) or np.any(kept[..., h]))
+        for nyquist in ((slice(None), h), (slice(None), slice(None), h), (..., h)):
+            kept[nyquist] = c[nyquist]
+        assert kept.tobytes() == c.tobytes()
 
 
 class TestDealiasedSpectrum:
-    @staticmethod
-    def reference(f, project):
-        u = forward_transform(f)
-        return zero_mean(dealias(leray_project(u) if project else u))
-
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_equal_to_the_full_transform_bit_for_bit(self, n, fraction):
@@ -415,7 +429,7 @@ class TestDealiasedSpectrum:
             f = PhysicalVelocity(grid, values, 0.75)
             for project in (False, True):
                 u = dealiased_spectrum(f, project=project)
-                assert u.coeffs.tobytes() == self.reference(f, project).coeffs.tobytes()
+                assert u.coeffs.tobytes() == reference_spectrum(f, project).coeffs.tobytes()
                 assert u.grid == grid and u.time == 0.75
 
     @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0])
@@ -533,9 +547,9 @@ class TestRandomField:
 class TestWhiteNoise:
     @pytest.mark.parametrize("n", [16, 32])
     def test_full_fraction_is_a_real_solenoidal_field(self, n):
-        """At fraction 1 the block holds the modes with some |k_i| = n/2, where
-        the projection breaks Hermitian symmetry; they are dropped.  What is left
-        is Hermitian to the round-off of the transform itself, as at 2/3."""
+        """At fraction 1 the block holds no mode with some |k_i| = n/2, where the
+        projection would break Hermitian symmetry.  The field is Hermitian to the
+        round-off of the transform itself, as at 2/3."""
         u = random_solenoidal_field(GridSpec(n, 1.0), 1)
         scale = float(np.max(np.abs(u.coeffs)))
         assert hermitian_residual(u) < 1e-15 * scale
