@@ -18,7 +18,9 @@ the grid values of a field whose modes lie in the cube, and ``rfftn_cube`` the
 cube's modes of real grid values.  Both take any cube with 2r <= n: a shell's
 support cube in ``flux``, and, for the forward one, the retained block
 |k_i| <= k_max, r = k_max + 1, which is such a cube at every dealias fraction
-(``spectral.dealiased_spectrum``).
+(``spectral.dealiased_spectrum``).  ``irfftn_cube`` takes n as the size of the
+grid it synthesises, so it serves both a shell's n-point values and those on
+its own coarse grid m = 2^(q+3) < n.
 """
 
 import os

@@ -19,11 +19,12 @@ the product tensor (u o u)^, and takes each shell's remainder norm inside its
 :func:`remainder` call one component at a time, so no remainder tensor is held.
 The norm is reduced in one working set (:func:`_remainder_l2`).  u_q vanishes
 outside its support cube |k_i| < 2^(q+1), and two pruned transforms use that:
-u_q's n-point values come from the cube where 2^(q+3) <= n
-(:func:`_shell_grid_values`, the same bits as the full inverse), and a coarse
-shell, 2^(q+3) < n, transforms only the cube's modes of its cross terms and
-takes the rest of the norm by Parseval (:func:`_cube_sums`, equal to 1e-13
-relative to the full-spectrum norm).
+u_q's values on its own grid, n points or 2^(q+3) < n, come from the cube
+wherever 2^(q+3) is at most that grid's size (:func:`_shell_values`, the same
+bits as the full inverse on that grid), and a coarse shell, 2^(q+3) < n,
+transforms only the cube's modes of its cross terms and takes the rest of the
+norm by Parseval (:func:`_cube_sums`, equal to 1e-13 relative to the
+full-spectrum norm).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from . import _fft
 from .errors import ConfigurationError, ShellRangeError
 from .lp import FilterBank, phi_profile, shell_energies, truncate_low
-from .spectral import (BOX_LENGTH, BOX_VOLUME, SpectralVelocity, _cube_extent, _cut, _hat, _lattice,
+from .spectral import (BOX_VOLUME, SpectralVelocity, _cube_extent, _cut, _hat, _l4_norm, _lattice,
                        _lattice_sum, _physical, is_dealiased)
 
 #: Upper-triangle index pairs of a symmetric 3x3 tensor and their multiplicity
@@ -110,12 +111,13 @@ def _product_hats(phys):
     return map(_hat, _products(phys))
 
 
-def _inverse_from_cube(n, q) -> bool:
-    """Whether u_q's n-point grid values are transformed from its support cube
-    |k_i| < 2^(q+1), outside which phi_q vanishes, by
-    :func:`lpns._fft.irfftn_cube`, with the bits of the full inverse:
-    2^(q+3) <= n, a cube of at most n/4 per axis."""
-    return 2 ** (q + 3) <= n
+def _inverse_from_cube(m, q) -> bool:
+    """Whether u_q's grid values on m points are transformed from its support
+    cube |k_i| < 2^(q+1), outside which phi_q vanishes, by
+    :func:`lpns._fft.irfftn_cube`, with the bits of the full m-point inverse:
+    2^(q+3) <= m, a cube of at most m/4 per axis.  Read on the shell's own grid,
+    m = min(n, 2^(q+3)), it holds on every shell but the top ones, 2^(q+3) > n."""
+    return 2 ** (q + 3) <= m
 
 
 def _forward_to_cube(n, q) -> bool:
@@ -204,17 +206,17 @@ def _remainder_l2(phys, what, mult, uq_phys, q) -> float:
     return math.sqrt(float(np.sum(SYM_WEIGHTS * sums))) / float(n) ** 3
 
 
-def _shell_grid_values(u: SpectralVelocity, mult, q):
-    """u_q's n-point grid values, one component at a time.  A shell with
-    :func:`_inverse_from_cube` is transformed from its support cube by
-    :func:`lpns._fft.irfftn_cube`: the same bits as the full inverse of c * mult,
-    in less time."""
-    n = u.grid.n
-    if not _inverse_from_cube(n, q):
+def _shell_values(u: SpectralVelocity, bank: FilterBank, q, m):
+    """u_q's grid values on m points, m = n or m = 2^(q+3) < n, one component at
+    a time.  Where :func:`_inverse_from_cube` holds on m, the support cube is
+    transformed by :func:`lpns._fft.irfftn_cube`, with phi_q gathered on the
+    cube alone; elsewhere (a top shell, m = n) c * phi_q is inverted in full."""
+    if not _inverse_from_cube(m, q):
+        mult = bank.multiplier(q)
         return [_physical(c * mult) for c in u.coeffs]
     extent = _cube_extent(2 ** (q + 1))
-    cube_mult = _cut(mult, extent)
-    return [_fft.irfftn_cube(_cut(c, extent) * cube_mult, n=n) for c in u.coeffs]
+    cube_mult = bank.phi[q - bank.q_min][_cut(u.grid.k_squared(), extent)]
+    return [_fft.irfftn_cube(_cut(c, extent) * cube_mult, n=m) for c in u.coeffs]
 
 
 def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _what=None,
@@ -224,24 +226,24 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     ``_phys``, ``_what`` and ``_uq_phys`` are the caller's grid values of u, the
     coefficients of its product tensor and the n-point grid values of u_q (any
     sequence of three components); each is read, never written, and computed
-    here when not given (u_q by :func:`_shell_grid_values`).  Cross terms are
-    transformed one component at a time, so no six-component physical tensor is
-    held.  With ``_l2`` the result is :func:`tensor_l2_norm` of the tensor,
-    reduced inside this call by :func:`_remainder_l2`: no six-component tensor
-    is held at all.  It is that norm bit for bit on a shell with 2^(q+3) >= n,
+    here when not given (u_q by :func:`_shell_values` at m = n).  The cross
+    terms are :func:`_cross_terms`'s, transformed one component at a time, so
+    no six-component physical tensor is held.  With ``_l2`` the result is
+    :func:`tensor_l2_norm` of the tensor, reduced inside this call by
+    :func:`_remainder_l2`: no six-component tensor is held at all.  It is that norm bit for bit on a shell with 2^(q+3) >= n,
     and equal to 1e-13 relative on a coarse shell."""
     bank.check_shell(q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
     what = product_tensor_hat(u, phys) if _what is None else _what
     mult = bank.multiplier(q)
-    uq_phys = _shell_grid_values(u, mult, q) if _uq_phys is None else _uq_phys
+    uq_phys = _shell_values(u, bank, q, u.grid.n) if _uq_phys is None else _uq_phys
     if _l2:
         return _remainder_l2(phys, what, mult, uq_phys, q)
     out = np.empty((len(SYM_PAIRS), *mult.shape), dtype=complex)
-    for m, (i, j) in enumerate(SYM_PAIRS):
+    for m, cross in enumerate(_cross_terms(phys, uq_phys, np.empty(phys.shape[1:]))):
         np.multiply(mult, what[m], out=out[m])
-        out[m] -= _hat(uq_phys[i] * phys[j] + phys[i] * uq_phys[j])
+        out[m] -= _hat(cross)
     return out
 
 
@@ -326,7 +328,7 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     phys = _physical(u.coeffs)
     what = product_tensor_hat(u, phys)
     mult = bank.multiplier(q)
-    uq_phys = _shell_grid_values(u, mult, q)  # read by both parts
+    uq_phys = _shell_values(u, bank, q, n)  # read by both parts
     r_hat = remainder(u, bank, q, _phys=phys, _what=what, _uq_phys=uq_phys)
     integral_r = _tensor_pairing(r_hat, _sym_grad_hat(u.coeffs * mult, n))
 
@@ -341,15 +343,6 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     return integral_r, integral_low
 
 
-def _shell_cut(c, m, filt):
-    """One component's half spectrum cut to the M-point cube, k in [-M/2, M/2)
-    in FFT order, and multiplied by ``filt`` in place."""
-    h = m // 2
-    cut = _cut(c, (h, h, h + 1))
-    cut *= filt
-    return cut
-
-
 def _shell_fields(u: SpectralVelocity, bank: FilterBank):
     """Yield (q, M, values) for every shell: the grid values of u_q on
     M = min(n, 2^(q+3)) points, a list of three (M, M, M) components.
@@ -361,36 +354,17 @@ def _shell_fields(u: SpectralVelocity, bank: FilterBank):
     a zero-padded 2n grid on white noise at n = 16 to 64 (exact values need the
     3/2 rule, Orszag 1971).
 
-    Each component is cut, filtered and transformed on its own; the n-point
-    values (M = n) are :func:`_shell_grid_values`'s.  The generator holds no
-    shell's values once it resumes, so a caller that drops its own reference
-    before asking for the next shell holds one shell at a time.
+    The values are :func:`_shell_values`'s on M points: the support cube's
+    transform on every shell but the top ones, 2^(q+3) > n, each component on
+    its own.  The generator holds no shell's values once it resumes, so a
+    caller that drops its own reference before asking for the next shell holds
+    one shell at a time.
     """
-    n = u.grid.n
-    for i, q in enumerate(bank.shells):
-        m = min(n, 2 ** (q + 3))
-        filt = bank.phi[i][_lattice(m)[3]]
-        if m == n:
-            values = _shell_grid_values(u, filt, q)
-        else:
-            values = [_physical(_shell_cut(c, m, filt)) for c in u.coeffs]
-        del filt
+    for q in bank.shells:
+        m = min(u.grid.n, 2 ** (q + 3))
+        values = _shell_values(u, bank, q, m)
         yield q, m, values
         del values
-
-
-def _squared_magnitude(values):
-    """|f|^2 of three component values, summed in place as np.sum(values**2, axis=0) sums."""
-    mag2 = values[0] ** 2
-    mag2 += values[1] ** 2
-    mag2 += values[2] ** 2
-    return mag2
-
-
-def _l4_norm(values, m) -> float:
-    """||f||_4 by the M-point grid quadrature of a field's component values."""
-    mag2 = _squared_magnitude(values)
-    return (float(np.sum(mag2**2)) * (BOX_LENGTH / m) ** 3) ** 0.25
 
 
 def _shell_l4_norms(u: SpectralVelocity, bank: FilterBank) -> np.ndarray:

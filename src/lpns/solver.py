@@ -43,7 +43,7 @@ from .errors import (
     ShellRangeError,
     StepSizeError,
 )
-from .flux import _check_viscosity, _contract_k, _evaluate, _products, _squared_magnitude
+from .flux import _check_viscosity, _contract_k, _evaluate, _products
 from .lp import FilterBank, build_filter_bank
 from .spectral import (
     SpectralVelocity,
@@ -54,6 +54,7 @@ from .spectral import (
     _paste,
     _physical,
     _project_coeffs,
+    _squared_magnitude,
     divergence_residual,
     is_dealiased,
 )

@@ -19,15 +19,15 @@ This module owns the discrete form of that convention.  ``_hat`` and
 the last three axes); every transform of the package goes through them except
 the time step's forward transform, the O(n^6) oracle's kernel, the transform
 of grid values to their retained block (``dealiased_spectrum``, by
-``_fft.rfftn_cube``), and the shell transforms in ``flux``: u_q's n-point
-values, from its support cube where 2^(q+3) <= n (``_fft.irfftn_cube``), and
-in a remainder norm each cross term's unnormalised rfftn, only on that cube
-where 2^(q+3) < n (``_fft.rfftn_cube``).  The lattice is stored once per n
-(``_lattice``): the integer wavenumber axes shaped (n, 1, 1), (1, n, 1) and
-(1, 1, n/2 + 1), which broadcast against the half spectrum, one read-only
-int64 |k|^2 on the half spectrum, which is also the filter bank's index into
-its radial tables, and the half-spectrum weight; no other module keeps a
-lattice table.  ``_cut`` and ``_paste`` are the one four-corner block copy of
+``_fft.rfftn_cube``), and the shell transforms in ``flux``: u_q's values on
+its own grid of min(n, 2^(q+3)) points, from its support cube on every shell
+but the top ones, 2^(q+3) > n (``_fft.irfftn_cube``), and in a remainder norm
+each cross term's unnormalised rfftn, only on that cube where 2^(q+3) < n
+(``_fft.rfftn_cube``).  The lattice is stored once per n (``_lattice``): the
+integer wavenumber axes shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1),
+which broadcast against the half spectrum, one read-only int64 |k|^2 on the
+half spectrum, which is also the filter bank's index into its radial tables,
+and the half-spectrum weight; no other module keeps a lattice table.  ``_cut`` and ``_paste`` are the one four-corner block copy of
 a cube |k_i| < r with 2r <= n, whose extent ``_cube_extent`` alone defines: a
 shell's support cube in the flux diagnostics, or the retained block
 |k_i| <= k_max, r = k_max + 1, at every dealias fraction.  ``is_dealiased``
@@ -304,15 +304,28 @@ def enstrophy(u: SpectralVelocity) -> float:
     return float(_lattice_sum(k2 * np.sum(np.abs(u.coeffs) ** 2, axis=0)))
 
 
+def _squared_magnitude(values):
+    """|f|^2 of three component values, summed in place as np.sum(values**2, axis=0) sums."""
+    mag2 = values[0] ** 2
+    mag2 += values[1] ** 2
+    mag2 += values[2] ** 2
+    return mag2
+
+
+def _l4_norm(values, m) -> float:
+    """||f||_4 by the m-point grid quadrature of a field's component values."""
+    mag2 = _squared_magnitude(values)
+    return (float(np.sum(mag2**2)) * (BOX_LENGTH / m) ** 3) ** 0.25
+
+
 def lp_norm(f: PhysicalVelocity, p) -> float:
     """L^p norm of the pointwise Euclidean magnitude; p in {2, 4, inf}."""
-    mag2 = np.sum(f.values**2, axis=0)
     if p == 2:
-        return math.sqrt(float(np.sum(mag2)) * f.grid.dx**3)
+        return math.sqrt(float(np.sum(_squared_magnitude(f.values))) * f.grid.dx**3)
     if p == 4:
-        return (float(np.sum(mag2**2)) * f.grid.dx**3) ** 0.25
+        return _l4_norm(f.values, f.grid.n)
     if p == math.inf or p == np.inf:
-        return math.sqrt(float(np.max(mag2)))
+        return math.sqrt(float(np.max(_squared_magnitude(f.values))))
     raise ConfigurationError(f"unsupported Lp exponent {p}; expected 2, 4 or inf")
 
 

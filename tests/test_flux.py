@@ -14,6 +14,7 @@ from lpns.flux import (
     _shell_fields,
     _shell_l4_norms,
     _shell_norm_table,
+    _shell_values,
     lemma1_sides,
     nlt_split,
     product_tensor_hat,
@@ -39,7 +40,7 @@ from lpns.spectral import (
     make_taylor_green,
     zero_velocity,
 )
-from lpns.solver import SolverParams, simulate
+from lpns.solver import SolverParams, _sample_row, simulate
 from lpns.verify import nlt_suite
 
 from conftest import (count_transforms, fft_entries, peak_allocation, random_solenoidal_field,
@@ -333,18 +334,34 @@ def gathered_shell_values(u, bank, q):
 
 
 class TestShellFields:
-    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0, 0.3])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_equal_to_a_batched_gather_bit_for_bit(self, n, fraction):
+        """Each shell's values on its own grid equal one gather and transform of
+        all three components, and its n-point values (``_shell_values`` at m = n,
+        as a remainder takes them) equal the full inverse of c * phi_q."""
         grid = GridSpec(n, dealias_fraction=fraction)
         bank = build_filter_bank(grid)
-        u = random_solenoidal_field(grid, 8)
-        seen = []
-        for q, m, values in _shell_fields(u, bank):
-            seen.append(q)
-            assert m == min(n, 2 ** (q + 3))
-            assert np.stack(values).tobytes() == gathered_shell_values(u, bank, q).tobytes()
-        assert seen == list(bank.shells)
+        for u in (random_solenoidal_field(grid, 8), make_taylor_green(grid, 1.0)):
+            seen = []
+            for q, m, values in _shell_fields(u, bank):
+                seen.append(q)
+                assert m == min(n, 2 ** (q + 3))
+                assert np.stack(values).tobytes() == gathered_shell_values(u, bank, q).tobytes()
+                full = _physical(u.coeffs * bank.multiplier(q))
+                assert np.stack(_shell_values(u, bank, q, n)).tobytes() == full.tobytes()
+            assert seen == list(bank.shells)
+
+    def test_a_row_and_a_report_cache_one_lattice_table(self):
+        """Every shell's values are made from the grid's own lattice: a row and
+        a report at n = 32 leave one ``_lattice`` table, none of a coarse grid."""
+        grid = GridSpec(32)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 1)
+        _lattice.cache_clear()
+        _sample_row(u, bank, 0.1)
+        shell_flux_report(u, bank, 1.5, 0.1)
+        assert _lattice.cache_info().currsize == 1
 
 
 def support_cubes(u, bank):
