@@ -15,12 +15,12 @@ Two transforms are pruned (Markel, IEEE Trans. Audio Electroacoust. 19, 305,
 1971): pass by pass, each transforms only the lines that a cube of modes
 |k_i| < r occupies, with the bits of the full transform.  ``irfftn_cube`` gives
 the grid values of a field whose modes lie in the cube, and ``rfftn_cube`` the
-cube's modes of real grid values.  Both take any cube with 2r <= n: a shell's
-support cube in ``flux``, and, for the forward one, the retained block
-|k_i| <= k_max, r = k_max + 1, which is such a cube at every dealias fraction
-(``spectral.dealiased_spectrum``).  ``irfftn_cube`` takes n as the size of the
-grid it synthesises, so it serves both a shell's n-point values and those on
-its own coarse grid m = 2^(q+3) < n.
+cube's modes of real grid values.  Both take any cube with 2r <= n:
+``rfftn_cube`` a shell's support cube |k_i| < 2^(q+1) in ``flux`` and the
+retained block |k_i| <= k_max, r = k_max + 1 (``spectral.dealiased_spectrum``),
+and ``irfftn_cube`` every shell's cube |k_i| < min(2^(q+1), k_max + 1).  It
+takes n as the size of the grid it synthesises, so it serves both a shell's
+n-point values and those on its own coarse grid m = 2^(q+3) < n.
 """
 
 import os

@@ -1,7 +1,7 @@
 """Command-line front end: simulate, analyze, verify, bounds.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime numerical failure.  All emitted numbers round-trip doubles
+Exit codes: 0 success, 1 verification failure, 2 configuration error or out
+of memory, 3 runtime numerical failure.  All emitted numbers round-trip doubles
 (17 significant digits) and runs are byte-reproducible for a fixed config.
 """
 
@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
         "generator": cfg.ic,
         "config": config,
         "columns": columns,
-        "n_steps": int(round(cfg.t_end / cfg.dt)),
+        "n_steps": params.n_steps,
         "threads": threads,
         "status": "ok" if failure is None else "failed",
     }
@@ -440,6 +440,9 @@ def main(argv=None) -> int:
         return 3
     except LpnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

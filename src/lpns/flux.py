@@ -18,13 +18,13 @@ Six-component tensors are built one component at a time.  A report holds one,
 the product tensor (u o u)^, and takes each shell's remainder norm inside its
 :func:`remainder` call one component at a time, so no remainder tensor is held.
 The norm is reduced in one working set (:func:`_remainder_l2`).  u_q vanishes
-outside its support cube |k_i| < 2^(q+1), and two pruned transforms use that:
-u_q's values on its own grid, n points or 2^(q+3) < n, come from the cube
-wherever 2^(q+3) is at most that grid's size (:func:`_shell_values`, the same
-bits as the full inverse on that grid), and a coarse shell, 2^(q+3) < n,
-transforms only the cube's modes of its cross terms and takes the rest of the
-norm by Parseval (:func:`_cube_sums`, equal to 1e-13 relative to the
-full-spectrum norm).
+outside its support cube |k_i| < 2^(q+1) and a dealiased u outside its block
+|k_i| <= k_max, and two pruned transforms use that: every shell's values, on
+n points or its own grid, come from the cube |k_i| < min(2^(q+1), k_max + 1)
+(:func:`_shell_values`, the bits of the full inverse on that grid), and a
+coarse shell, 2^(q+3) < n, transforms only the support cube's modes of its
+cross terms and takes the rest of the norm by Parseval (:func:`_cube_sums`,
+equal to 1e-13 relative to the full-spectrum norm).
 """
 
 from __future__ import annotations
@@ -109,15 +109,6 @@ def _product_hats(phys):
     """The coefficients of each product u_i u_j, upper-triangle components,
     transformed one at a time; ``map`` holds no product once it is transformed."""
     return map(_hat, _products(phys))
-
-
-def _inverse_from_cube(m, q) -> bool:
-    """Whether u_q's grid values on m points are transformed from its support
-    cube |k_i| < 2^(q+1), outside which phi_q vanishes, by
-    :func:`lpns._fft.irfftn_cube`, with the bits of the full m-point inverse:
-    2^(q+3) <= m, a cube of at most m/4 per axis.  Read on the shell's own grid,
-    m = min(n, 2^(q+3)), it holds on every shell but the top ones, 2^(q+3) > n."""
-    return 2 ** (q + 3) <= m
 
 
 def _forward_to_cube(n, q) -> bool:
@@ -208,13 +199,10 @@ def _remainder_l2(phys, what, mult, uq_phys, q) -> float:
 
 def _shell_values(u: SpectralVelocity, bank: FilterBank, q, m):
     """u_q's grid values on m points, m = n or m = 2^(q+3) < n, one component at
-    a time.  Where :func:`_inverse_from_cube` holds on m, the support cube is
-    transformed by :func:`lpns._fft.irfftn_cube`, with phi_q gathered on the
-    cube alone; elsewhere (a top shell, m = n) c * phi_q is inverted in full."""
-    if not _inverse_from_cube(m, q):
-        mult = bank.multiplier(q)
-        return [_physical(c * mult) for c in u.coeffs]
-    extent = _cube_extent(2 ** (q + 1))
+    a time, from the cube |k_i| < min(2^(q+1), k_max + 1) by
+    :func:`lpns._fft.irfftn_cube` with phi_q gathered on the cube alone: every
+    mode of u_q, so the bits of the full m-point inverse."""
+    extent = _cube_extent(min(2 ** (q + 1), u.grid.k_max + 1))
     cube_mult = bank.phi[q - bank.q_min][_cut(u.grid.k_squared(), extent)]
     return [_fft.irfftn_cube(_cut(c, extent) * cube_mult, n=m) for c in u.coeffs]
 
@@ -230,8 +218,9 @@ def remainder(u: SpectralVelocity, bank: FilterBank, q: int, *, _phys=None, _wha
     terms are :func:`_cross_terms`'s, transformed one component at a time, so
     no six-component physical tensor is held.  With ``_l2`` the result is
     :func:`tensor_l2_norm` of the tensor, reduced inside this call by
-    :func:`_remainder_l2`: no six-component tensor is held at all.  It is that norm bit for bit on a shell with 2^(q+3) >= n,
-    and equal to 1e-13 relative on a coarse shell."""
+    :func:`_remainder_l2`: no six-component tensor is held at all.  It is that
+    norm bit for bit on a shell with 2^(q+3) >= n, and equal to 1e-13 relative
+    on a coarse shell."""
     bank.check_shell(q)
     _require_dealiased(u)
     phys = _physical(u.coeffs) if _phys is None else _phys
@@ -315,12 +304,12 @@ def _tensor_pairing(a_hat, b_hat) -> float:
     return float(np.sum(SYM_WEIGHTS * _lattice_sum((a_hat * np.conj(b_hat)).real)))
 
 
-def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int = LOW_PASS_SHIFT):
+def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int):
     """Split the shell transfer into its remainder and low-frequency parts.
 
-    Returns (int r_q . grad u_q dx, -int u_q . grad u_{<=q+low_shift} . u_q dx).
-    With the default low_shift the two parts sum to the transfer integral
-    exactly; see LOW_PASS_SHIFT for the support argument fixing the cutoff.
+    Returns (int r_q . grad u_q dx, -int u_q . grad u_{<=q+LOW_PASS_SHIFT} . u_q dx),
+    which sum to the transfer integral exactly; see LOW_PASS_SHIFT for the
+    support argument fixing the cutoff.
     """
     _require_dealiased(u)
     bank.check_shell(q)
@@ -333,7 +322,7 @@ def nlt_split(u: SpectralVelocity, bank: FilterBank, q: int, *, low_shift: int =
     integral_r = _tensor_pairing(r_hat, _sym_grad_hat(u.coeffs * mult, n))
 
     k = _lattice(n)[:3]
-    low = truncate_low(u, bank, q + low_shift)
+    low = truncate_low(u, bank, q + LOW_PASS_SHIFT)
     acc = 0.0
     for i in range(3):
         for j in range(3):
@@ -354,11 +343,10 @@ def _shell_fields(u: SpectralVelocity, bank: FilterBank):
     a zero-padded 2n grid on white noise at n = 16 to 64 (exact values need the
     3/2 rule, Orszag 1971).
 
-    The values are :func:`_shell_values`'s on M points: the support cube's
-    transform on every shell but the top ones, 2^(q+3) > n, each component on
-    its own.  The generator holds no shell's values once it resumes, so a
-    caller that drops its own reference before asking for the next shell holds
-    one shell at a time.
+    The values are :func:`_shell_values`'s on M points, one pruned inverse per
+    component on every shell, the top ones included.  The generator holds no
+    shell's values once it resumes, so a caller that drops its own reference
+    before asking for the next shell holds one shell at a time.
     """
     for q in bank.shells:
         m = min(u.grid.n, 2 ** (q + 3))

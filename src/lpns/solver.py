@@ -79,8 +79,15 @@ class SolverParams:
             raise ConfigurationError(f"time step must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ConfigurationError(f"end time must be finite and >= 0, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigurationError(f"t_end / dt = {self.t_end:g} / {self.dt:g} overflows")
         if self.diag_every < 1:
             raise ConfigurationError("diag_every must be a positive step count")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps from 0 to t_end: t_end / dt, rounded."""
+        return int(round(self.t_end / self.dt))
 
 
 def _nonlinear_hat(phys, grid, out):
@@ -268,7 +275,7 @@ def simulate(u0: SpectralVelocity, params: SolverParams, bank: FilterBank | None
     _validate_initial(u0)
     if bank is None:
         bank = build_filter_bank(u0.grid)
-    n_steps = int(round(params.t_end / params.dt))
+    n_steps = params.n_steps
     if abs(n_steps * params.dt - params.t_end) > 1e-9 * max(params.dt, params.t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
     u = u0

@@ -19,22 +19,22 @@ This module owns the discrete form of that convention.  ``_hat`` and
 the last three axes); every transform of the package goes through them except
 the time step's forward transform, the O(n^6) oracle's kernel, the transform
 of grid values to their retained block (``dealiased_spectrum``, by
-``_fft.rfftn_cube``), and the shell transforms in ``flux``: u_q's values on
-its own grid of min(n, 2^(q+3)) points, from its support cube on every shell
-but the top ones, 2^(q+3) > n (``_fft.irfftn_cube``), and in a remainder norm
-each cross term's unnormalised rfftn, only on that cube where 2^(q+3) < n
-(``_fft.rfftn_cube``).  The lattice is stored once per n (``_lattice``): the
-integer wavenumber axes shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1),
-which broadcast against the half spectrum, one read-only int64 |k|^2 on the
-half spectrum, which is also the filter bank's index into its radial tables,
-and the half-spectrum weight; no other module keeps a lattice table.  ``_cut`` and ``_paste`` are the one four-corner block copy of
-a cube |k_i| < r with 2r <= n, whose extent ``_cube_extent`` alone defines: a
-shell's support cube in the flux diagnostics, or the retained block
-|k_i| <= k_max, r = k_max + 1, at every dealias fraction.  ``is_dealiased``
-tests the slabs outside the block and ``_dealias_block`` caches its lattice.
-``dealiased_spectrum`` is the one way grid values become a velocity, and the
-seeded draw behind both random-field generators (``_solenoidal_noise``) goes
-through it.
+``_fft.rfftn_cube``), and the shell transforms in ``flux``: every u_q's
+values, from the cube |k_i| < min(2^(q+1), k_max + 1) (``_fft.irfftn_cube``),
+and in a remainder norm each cross term's unnormalised rfftn, only on the
+support cube |k_i| < 2^(q+1) where 2^(q+3) < n (``_fft.rfftn_cube``).  The
+lattice is stored once per n (``_lattice``): the integer wavenumber axes
+shaped (n, 1, 1), (1, n, 1) and (1, 1, n/2 + 1), which broadcast against the
+half spectrum, one read-only int64 |k|^2 on the half spectrum, which is also
+the filter bank's index into its radial tables, and the half-spectrum weight;
+no other module keeps a lattice table.  ``_cut`` and ``_paste`` are the one
+four-corner block copy of a cube |k_i| < r with 2r <= n, whose extent
+``_cube_extent`` alone defines: a shell's support cube in the flux
+diagnostics, or the retained block |k_i| <= k_max, r = k_max + 1, at every
+dealias fraction.  ``is_dealiased`` tests the slabs outside the block and
+``_dealias_block`` caches its lattice.  ``dealiased_spectrum`` is the one way
+grid values become a velocity, and the seeded draw behind both random-field
+generators (``_solenoidal_noise``) goes through it.
 """
 
 from __future__ import annotations
@@ -334,36 +334,38 @@ def divergence_residual(u: SpectralVelocity) -> float:
 
     Modes below 1e-13 of the peak coefficient magnitude carry no field content
     and are excluded, so transform round-off junk does not dominate the ratio.
-    A dealiased field is read on its retained block only: the zero modes
-    outside it fall below that threshold and leave the peak alone.
-    |u_hat| and k . u_hat are summed one component at a time, in place, and the
-    ratio is taken in place where it is defined, so no three-component temporary
-    and no gathered copy is made.
+    A dealiased field is read in place on its retained block's four corner slabs
+    (``_corners``): the zero modes outside it fall below that threshold.  Any
+    other field is one whole-spectrum region.  One pass takes |u_hat| for the
+    peak and a second the ratio, region by region; both sum one component at a
+    time, in place, so no three-component temporary and no block copy is made.
     """
     n = u.grid.n
     kx, ky, kz, k2, _ = _lattice(n)
+    regions = ([f[1:] for _, f in _corners(n, *_cube_extent(u.grid.k_max + 1))]
+               if is_dealiased(u) else [(slice(None),) * 3])
     c = u.coeffs
-    if is_dealiased(u):
-        extent, (kx, ky, kz), _ = _dealias_block(n, u.grid.k_max)
-        c, k2 = _cut(c, extent), _cut(k2, extent)
-    vecmag = np.abs(c[0]) ** 2
-    vecmag += np.abs(c[1]) ** 2
-    vecmag += np.abs(c[2]) ** 2
-    np.sqrt(vecmag, out=vecmag)
-    scale = float(np.max(vecmag))
+    mags = []
+    for fx, fy, fz in regions:
+        vecmag = np.abs(c[0, fx, fy, fz]) ** 2
+        vecmag += np.abs(c[1, fx, fy, fz]) ** 2
+        vecmag += np.abs(c[2, fx, fy, fz]) ** 2
+        mags.append(np.sqrt(vecmag, out=vecmag))
+    scale = float(np.max([np.max(vecmag) for vecmag in mags]))
     if scale == 0.0:
         return 0.0
-    good = (k2 > 0) & (vecmag > 1e-13 * scale)
-    if not np.any(good):
-        return 0.0
-    div = kx * c[0]
-    div += ky * c[1]
-    div += kz * c[2]
-    ratio = np.abs(div)
-    del div
-    vecmag *= np.sqrt(k2)
-    np.divide(ratio, vecmag, out=ratio, where=good)
-    return float(np.max(ratio, where=good, initial=0.0))
+    worst = []
+    for (fx, fy, fz), vecmag in zip(regions, mags):
+        good = (k2[fx, fy, fz] > 0) & (vecmag > 1e-13 * scale)
+        div = kx[fx] * c[0, fx, fy, fz]
+        div += ky[:, fy] * c[1, fx, fy, fz]
+        div += kz[..., fz] * c[2, fx, fy, fz]
+        ratio = np.abs(div)
+        del div
+        vecmag *= np.sqrt(k2[fx, fy, fz])
+        np.divide(ratio, vecmag, out=ratio, where=good)
+        worst.append(np.max(ratio, where=good, initial=0.0))
+    return float(np.max(worst))
 
 
 def make_taylor_green(grid: GridSpec, amplitude: float) -> SpectralVelocity:

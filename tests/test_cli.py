@@ -129,6 +129,34 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(overrides)) in err
 
+    def test_overflowing_step_count_exits_2(self, tmp_path, capsys):
+        """t_end / dt = inf is refused before the march: no CSV, no manifest."""
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg, dt=1e-300, t_end=1e300)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t_end / dt" in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 6.00 TiB", ""])
+    def test_memory_error_in_set_up_exits_2(self, tmp_path, capsys, monkeypatch, message):
+        """A grid too large for the host fails as a configuration error.  The
+        filter bank is made to fail: a real request that large might be
+        honoured on a host that overcommits memory."""
+        def no_memory(grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(lpns.cli, "build_filter_bank", no_memory)
+        cfg = tmp_path / "run.cfg"
+        write_config(cfg)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
     @pytest.mark.parametrize(
         "error",
         [StepSizeError("dt violates the CFL bound", admissible_dt=1e-4),

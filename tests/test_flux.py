@@ -247,10 +247,18 @@ class TestNltSplit:
         """With the low-pass ending at q+1 the identity is violated: products
         of two shell-q modes reach shell q+2, so that interaction is real."""
         u = random_solenoidal_field(grid32, 1)
+        k = _lattice(32)[:3]
         worst = 0.0
         transfers = shell_transfers(u, bank32)
         for q in bank32.shells:
-            r_part, low_part = nlt_split(u, bank32, q, low_shift=1)
+            r_part = nlt_split(u, bank32, q)[0]
+            uq_phys = _physical(u.coeffs * bank32.multiplier(q))
+            low = truncate_low(u, bank32, q + 1)
+            acc = 0.0
+            for i in range(3):
+                for j in range(3):
+                    acc += float(np.sum(uq_phys[i] * _physical(1j * k[i] * low.coeffs[j]) * uq_phys[j]))
+            low_part = -acc * grid32.dx**3
             t = transfers[q - bank32.q_min]
             resid = abs(r_part + low_part - t)
             resid /= max(abs(t), abs(r_part), abs(low_part), 1e-14)
@@ -351,6 +359,30 @@ class TestShellFields:
                 full = _physical(u.coeffs * bank.multiplier(q))
                 assert np.stack(_shell_values(u, bank, q, n)).tobytes() == full.tobytes()
             assert seen == list(bank.shells)
+
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 0.5, 1.0, 0.3])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_every_shell_is_transformed_from_a_cube(self, n, fraction, monkeypatch):
+        """On n points and on the shell's own grid, the top shells included, each
+        component of u_q is one pruned inverse and no shell makes a full one."""
+        grid = GridSpec(n, dealias_fraction=fraction)
+        bank = build_filter_bank(grid)
+        u = random_solenoidal_field(grid, 8)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in fft_entries().items():
+            monkeypatch.setattr(_fft, name, recording(name, fn))
+        for q in bank.shells:
+            for m in (n, min(n, 2 ** (q + 3))):
+                calls.clear()
+                _shell_values(u, bank, q, m)
+                assert calls == ["irfftn_cube"] * 3, (q, m)
 
     def test_a_row_and_a_report_cache_one_lattice_table(self):
         """Every shell's values are made from the grid's own lattice: a row and

@@ -113,6 +113,15 @@ class TestParams:
             with pytest.raises(ConfigurationError):
                 SolverParams(**{"nu": 1.0, "dt": 1e-3, "t_end": 1.0, **bad})
 
+    def test_step_count_that_overflows_is_refused(self):
+        """t_end / dt past the largest double has no step count."""
+        with pytest.raises(ConfigurationError, match="overflows"):
+            SolverParams(nu=1.0, dt=1e-300, t_end=1e300)
+
+    @pytest.mark.parametrize("dt, t_end, n_steps", [(0.1, 1.0, 10), (1e-3, 0.0, 0), (0.25, 0.75, 3)])
+    def test_n_steps_is_t_end_over_dt_rounded(self, dt, t_end, n_steps):
+        assert SolverParams(nu=1.0, dt=dt, t_end=t_end).n_steps == n_steps
+
 
 class TestStep:
     def test_heat_limit_exact(self, grid16):

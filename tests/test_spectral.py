@@ -255,6 +255,13 @@ class TestLerayProjection:
         reference = float(np.max(num[good] / (np.sqrt(k2[good]) * vecmag[good])))
         assert divergence_residual(u) == reference
 
+    def test_divergence_residual_reads_the_block_in_place(self, grid64):
+        """A dealiased field is read as views of its block's corners: no copy of
+        the block, whose three components alone are 0.3 velocity arrays."""
+        u = random_solenoidal_field(grid64, 1)
+        divergence_residual(u)  # the lattice table is cached before the peak is read
+        assert peak_allocation(lambda: divergence_residual(u)) <= 0.25 * u.coeffs.nbytes
+
     def test_divergence_residual_of_the_zero_field_is_zero(self, grid16):
         assert divergence_residual(zero_velocity(grid16)) == 0.0
 
